@@ -4,6 +4,7 @@
 //! ```text
 //! perfbench-harness gen   --workload W --seed S --dir D
 //! perfbench-harness trace --workload W --seed S --dir D [--baseline]
+//! SND_APPROX_TRACE=1 perfbench-harness approx-phases --workload approx_series --seed S --dir D
 //! ```
 //!
 //! `gen` writes the workload's dataset (`D/data.json`), its set-up probe
@@ -13,7 +14,9 @@
 //! functions with a timed span around each layer, and writes
 //! `D/trace.json`. Thread count is rayon's, so run it once plainly and
 //! once under `RAYON_NUM_THREADS=1 ... --baseline` (the single-threaded
-//! baseline, which skips the in-process orchestration).
+//! baseline, which skips the in-process orchestration). `approx-phases`
+//! is the child process the `approx_series` trace starts to read the
+//! approximate tier's own sketch-phase accounting.
 
 mod trace;
 mod workload;
@@ -54,8 +57,11 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("trace") => {
             let inst = workload.generate(seed);
             let baseline = args.iter().any(|a| a == "--baseline");
-            let json = trace::run(workload, &inst, &dir, baseline)?;
+            let json = trace::run(workload, &inst, seed, &dir, baseline)?;
             write(&dir.join("trace.json"), &json)
+        }
+        Some("approx-phases") if workload == Workload::ApproxSeries => {
+            trace::approx_phases(&workload.generate(seed))
         }
         _ => Err("usage: perfbench-harness gen|trace --workload W --seed S --dir D".into()),
     }

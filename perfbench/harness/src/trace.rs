@@ -14,6 +14,13 @@
 //!
 //! A layer the workload never enters reports the time of one empty span
 //! (tens of nanoseconds), which marks it as bypassed.
+//!
+//! The approximate tier's sketch maintenance and pricing cannot be
+//! replayed through public functions: `series_intervals` adapts each
+//! sketch with the refinement's feedback, and that step is internal. So
+//! those two spans come from the program's own accounting instead: a
+//! child process runs a warm `series_intervals` under `SND_APPROX_TRACE`
+//! and reports the sketch phase time the library measures itself.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -151,6 +158,7 @@ struct Replay {
 pub fn run(
     workload: Workload,
     inst: &Instance,
+    seed: u64,
     dir: &Path,
     baseline: bool,
 ) -> Result<String, String> {
@@ -168,7 +176,7 @@ pub fn run(
             let orchestrate = workload == Workload::AllpairsOrchestrate && !baseline;
             all_pairs(&engine, states, dir, orchestrate, &mut spans)?
         }
-        Workload::ApproxSeries => approx_series(inst, &engine, states, &mut spans)?,
+        Workload::ApproxSeries => approx_series(inst, seed, &engine, states, &mut spans)?,
     };
     let wall_s = started.elapsed().as_secs_f64();
     let work_s = setup_s + replay.work_s;
@@ -220,7 +228,10 @@ fn series_exact(
     let mut prev = spans.span("delta.fresh_s", || {
         DeltaStateGeometry::fresh(engine, &states[0])
     });
-    let mut prev_bundle = spans.span("delta.bundle_s", || prev.bundle(engine));
+    // `SeriesEvaluator` borrows the delta geometry; the replay clones it
+    // into a bundle for `breakdown_with`. The clones are timed as a span
+    // but are not the program's work, so they stay out of `work_s`.
+    let (mut prev_bundle, mut bundle_s) = timed(|| prev.bundle(engine));
     let (mut rows, mut pairs) = (0usize, 0usize);
     let mut values = Vec::with_capacity(states.len() - 1);
     for t in 1..states.len() {
@@ -232,7 +243,8 @@ fn series_exact(
             continue;
         }
         let cur = spans.span("delta.step_s", || prev.step(engine, &states[t], &delta));
-        let cur_bundle = spans.span("delta.bundle_s", || cur.bundle(engine));
+        let (cur_bundle, s) = timed(|| cur.bundle(engine));
+        bundle_s += s;
         let b = priced(
             engine,
             &states[t - 1],
@@ -248,7 +260,8 @@ fn series_exact(
         prev_bundle = cur_bundle;
     }
     rows += prev_bundle.cached_rows();
-    let work_s = started.elapsed().as_secs_f64() - (spans.repeat_s - repeat_mark);
+    let work_s = started.elapsed().as_secs_f64() - (spans.repeat_s - repeat_mark) - bundle_s;
+    spans.add("delta.bundle_s", bundle_s);
     drop((prev, prev_bundle));
     let (reference, untraced_s) = timed(|| engine.series_distances(states));
     spans.repeat_s += untraced_s;
@@ -444,56 +457,65 @@ fn in_process_orchestration(
 }
 
 /// The certified series: the context build and the sketch build split
-/// by two `DeltaStateGeometry::fresh` calls, the sketch steps replayed,
-/// and the pricing derived from a warm `series_intervals`.
+/// by two `DeltaStateGeometry::fresh` calls, the deltas timed on their
+/// own, and the sketch maintenance and pricing of a warm
+/// `series_intervals` taken from the program's own phase accounting
+/// ([`approx_phases`], in a child process).
 fn approx_series(
     inst: &Instance,
+    seed: u64,
     engine: &SndEngine<'_>,
     states: &[NetworkState],
     spans: &mut Spans,
 ) -> Result<Replay, String> {
-    // The untraced entry point needs a cold context, so its own engine.
-    let (reference, untraced_s) = timed(|| {
-        let graph = inst.graph();
-        let cold = SndEngine::new(&graph, Workload::ApproxSeries.config());
-        cold.series_intervals(states)
-    });
+    // The untraced entry point needs a cold context, so its own engine;
+    // its graph and engine are set-up, which `run` already counts.
+    let graph = inst.graph();
+    let cold = SndEngine::new(&graph, Workload::ApproxSeries.config());
+    let (reference, untraced_s) = timed(|| cold.series_intervals(states));
     let reference = reference.map_err(|e| e.to_string())?;
     spans.repeat_s += untraced_s;
+    drop(cold);
 
     let graph = engine.graph();
     let (first, first_s) = timed(|| DeltaStateGeometry::fresh(engine, &states[0]));
     drop(first);
-    let (mut prev, sketch_s) = timed(|| DeltaStateGeometry::fresh(engine, &states[0]));
+    let (second, sketch_s) = timed(|| DeltaStateGeometry::fresh(engine, &states[0]));
+    drop(second);
     spans.add("approx.ctx_build_s", first_s - sketch_s);
     spans.add("approx.sketch_build_s", sketch_s);
-    let (mut delta_s, mut step_s) = (0.0, 0.0);
-    for t in 1..states.len() {
-        let (delta, s) = timed(|| StateDelta::between(graph, &states[t - 1], &states[t]));
-        delta_s += s;
-        if delta.is_empty() {
-            continue;
+    spans.repeat_s += sketch_s;
+    spans.span("models.state_delta_s", || {
+        for t in 1..states.len() {
+            StateDelta::between(graph, &states[t - 1], &states[t]);
         }
-        let (cur, s) = timed(|| prev.step(engine, &states[t], &delta));
-        step_s += s;
-        prev = cur;
-    }
-    drop(prev);
-    spans.add("models.state_delta_s", delta_s);
-    spans.add("approx.sketch_step_s", step_s);
-    let (intervals, price_s) = timed(|| engine.series_intervals(states));
+    });
+    let (intervals, warm_s) = timed(|| engine.series_intervals(states));
     let intervals = intervals.map_err(|e| e.to_string())?;
-    // `series_intervals` repeats the sketch build (its own warm `fresh`),
-    // the deltas and the steps timed above; what is left is pricing.
-    spans.add("approx.price_s", price_s - sketch_s - delta_s - step_s);
-    spans.repeat_s += 2.0 * sketch_s + delta_s + step_s;
-    let work_s = first_s + price_s - sketch_s;
+    spans.repeat_s += warm_s;
+    let work_s = first_s - sketch_s + warm_s;
+
+    let (phases, child_s) = timed(|| run_approx_phases(seed));
+    let phases = phases?;
+    if phases.price_s <= 0.0 {
+        return Err(format!(
+            "warm series_intervals took {} s, less than its sketch and delta time",
+            phases.warm_s
+        ));
+    }
+    spans.add("approx.sketch_step_s", phases.sketch_step_s);
+    spans.add("approx.price_s", phases.price_s);
+    spans.repeat_s += child_s - phases.sketch_step_s - phases.price_s;
 
     let pairs = |ivs: &[snd_core::SndInterval]| -> Vec<(f64, f64)> {
         ivs.iter().map(|iv| (iv.lower, iv.upper)).collect()
     };
     if pairs(&intervals) != pairs(&reference) {
         return Err("warm series_intervals differs from the cold one".into());
+    }
+    let mids: Vec<f64> = intervals.iter().map(|iv| iv.midpoint()).collect();
+    if bits(&phases.mids) != bits(&mids) {
+        return Err("traced series_intervals differs from the untraced one".into());
     }
     let certified: Vec<f64> = intervals
         .iter()
@@ -504,7 +526,6 @@ fn approx_series(
         "interval_rel_width",
         certified.iter().sum::<f64>() / certified.len().max(1) as f64,
     );
-    let mids: Vec<f64> = intervals.iter().map(|iv| iv.midpoint()).collect();
     let printed = |f: fn(&snd_core::SndInterval) -> f64| -> String {
         strings(
             &intervals
@@ -515,15 +536,139 @@ fn approx_series(
     };
     Ok(Replay {
         extra: format!(
-            ",\"printed\":{},\"printed_lower\":{},\"printed_upper\":{}",
+            ",\"printed\":{},\"printed_lower\":{},\"printed_upper\":{},\"sketch_rows\":{}",
             strings(&printed_series(&mids, states)),
             printed(|iv| iv.lower),
-            printed(|iv| iv.upper)
+            printed(|iv| iv.upper),
+            phases.sketch_rows
         ),
         values: mids,
         work_s,
         untraced_s,
     })
+}
+
+/// The approximate tier's own accounting of one warm `series_intervals`.
+struct ApproxPhases {
+    /// Sketch repairs, rebuilds and landmark promotions after the
+    /// initial sketch build.
+    sketch_step_s: f64,
+    /// The warm call's wall minus all its sketch time and its deltas.
+    price_s: f64,
+    warm_s: f64,
+    /// The interval midpoints, to check the traced run prices the same.
+    mids: Vec<f64>,
+    /// `{"repaired", "reused", "stale", "rebuilt"}` sketch rows.
+    sketch_rows: String,
+}
+
+/// Runs [`approx_phases`] in a child process (this binary, with
+/// `SND_APPROX_TRACE` set) and reads its stdout and the library's
+/// run summaries from its stderr.
+fn run_approx_phases(seed: u64) -> Result<ApproxPhases, String> {
+    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+    let out = std::process::Command::new(exe)
+        .args(["approx-phases", "--workload", "approx_series"])
+        .args(["--seed", &seed.to_string(), "--dir", "."])
+        .env("SND_APPROX_TRACE", "1")
+        .stdin(std::process::Stdio::null())
+        .output()
+        .map_err(|e| format!("spawning approx-phases: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("approx-phases exited with {}", out.status));
+    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let field = |name: &str| -> Result<&str, String> {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .map(str::trim)
+            .ok_or(format!("approx-phases printed no {name}"))
+    };
+    let number = |name: &str| -> Result<f64, String> {
+        field(name)?.parse().map_err(|_| format!("bad {name}"))
+    };
+    let (warm_s, delta_s) = (number("warm_s")?, number("delta_s")?);
+    let mids = field("mids")?
+        .split_whitespace()
+        .map(|v| v.parse().map_err(|_| "bad mids".to_string()))
+        .collect::<Result<Vec<f64>, String>>()?;
+    // The last two run summaries: the sketch-build-only probe, then the
+    // warm series.
+    let summaries: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("approx-summary [series_intervals]"))
+        .collect();
+    let [.., probe, series] = summaries[..] else {
+        return Err("approx-phases printed fewer than two run summaries".into());
+    };
+    let sketch_ms = |line: &str| -> Result<f64, String> {
+        Ok(summary_field(line, "phase_ms[sketch/rows/balls/solves/exact]=")?[0])
+    };
+    let (build_ms, series_ms) = (sketch_ms(probe)?, sketch_ms(series)?);
+    let rows = summary_field(series, "sketch_rows[repaired/reused/stale/rebuilt]=")?;
+    let [repaired, reused, stale, rebuilt] = rows[..] else {
+        return Err("bad sketch_rows in the run summary".into());
+    };
+    Ok(ApproxPhases {
+        sketch_step_s: (series_ms - build_ms) / 1e3,
+        price_s: warm_s - series_ms / 1e3 - delta_s,
+        warm_s,
+        mids,
+        sketch_rows: format!(
+            "{{\"repaired\":{repaired},\"reused\":{reused},\"stale\":{stale},\"rebuilt\":{rebuilt}}}"
+        ),
+    })
+}
+
+/// The `/`-separated numbers after `key` in a run summary line.
+fn summary_field(line: &str, key: &str) -> Result<Vec<f64>, String> {
+    let rest = line
+        .split_once(key)
+        .ok_or(format!("no {key} in the run summary"))?
+        .1;
+    rest.split_whitespace()
+        .next()
+        .unwrap_or("")
+        .split('/')
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("bad {key} in the run summary"))
+        })
+        .collect()
+}
+
+/// The child side of [`run_approx_phases`]; run with `SND_APPROX_TRACE`
+/// set. One cold `series_intervals` builds the context. A second on the
+/// first state twice builds only the initial sketches, so its summary
+/// gives their phase time. The third, the warm series, is the one
+/// measured; it prints `warm_s`, `delta_s` (the deltas it computes, timed
+/// on their own) and `mids`.
+pub fn approx_phases(inst: &Instance) -> Result<(), String> {
+    let graph = inst.graph();
+    let engine = SndEngine::new(&graph, Workload::ApproxSeries.config());
+    let states = &inst.states;
+    engine.series_intervals(states).map_err(|e| e.to_string())?;
+    engine
+        .series_intervals(&[states[0].clone(), states[0].clone()])
+        .map_err(|e| e.to_string())?;
+    let (intervals, warm_s) = timed(|| engine.series_intervals(states));
+    let intervals = intervals.map_err(|e| e.to_string())?;
+    let (_, delta_s) = timed(|| {
+        for t in 1..states.len() {
+            StateDelta::between(&graph, &states[t - 1], &states[t]);
+        }
+    });
+    let mids: Vec<String> = intervals
+        .iter()
+        .map(|iv| format!("{:?}", iv.midpoint()))
+        .collect();
+    println!(
+        "warm_s {warm_s:?}\ndelta_s {delta_s:?}\nmids {}",
+        mids.join(" ")
+    );
+    Ok(())
 }
 
 fn set_rows(spans: &mut Spans, rows: usize, pairs: usize) {

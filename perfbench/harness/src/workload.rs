@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd_analysis::series::processed_series;
+use snd_analysis::{anomaly_scores, evaluate_detection};
 use snd_core::{ApproxConfig, SndConfig, SndEngine};
 use snd_graph::generators::{barabasi_albert, scale_free_configuration};
 use snd_graph::CsrGraph;
@@ -351,17 +352,28 @@ pub fn oracle_json(workload: Workload, inst: &Instance) -> String {
         Workload::SeriesExact => {
             let engine = SndEngine::new(&graph, SndConfig::default());
             let raw = engine.series_distances_seq(&inst.states);
-            let printed = printed_series(&raw, &inst.states);
+            // What `snd anomaly` calls. Its output prints the series only
+            // after scaling, so this is the one check of its raw values.
+            let raw_cli = engine.series_distances(&inst.states);
+            let processed = processed_series(&raw, &inst.states);
+            let scores = anomaly_scores(&processed);
+            let k = inst.labels.iter().filter(|&&l| l).count().max(1);
+            let flagged = evaluate_detection(&scores, &inst.labels, k).flagged;
             let _ = write!(
                 out,
-                "\"raw\":{},\"printed\":{}",
+                "\"raw\":{},\"raw_cli\":{},\"printed\":{},\"scores\":{},\"flagged\":{:?}",
                 floats(&raw),
-                strings(&printed)
+                floats(&raw_cli),
+                strings(&printed_series(&raw, &inst.states)),
+                strings(&fixed4(&scores)),
+                flagged
             );
         }
         Workload::AllpairsShard | Workload::AllpairsOrchestrate => {
             let engine = SndEngine::new(&graph, SndConfig::default());
-            let rows: Vec<String> = seq_matrix(&engine, &inst.states)
+            let rows: Vec<String> = engine
+                .pairwise_distances_seq(&inst.states)
+                .to_rows()
                 .iter()
                 .map(|r| floats(r))
                 .collect();
@@ -376,48 +388,14 @@ pub fn oracle_json(workload: Workload, inst: &Instance) -> String {
     out
 }
 
-/// `pairwise_distances_seq`'s matrix: its independent per-pair
-/// `distance_seq` calls, dealt round-robin to one thread per core. Each
-/// call is the single-threaded reference, so the matrix is the same bit
-/// for bit; the split only shortens the wait for it.
-fn seq_matrix(engine: &SndEngine<'_>, states: &[NetworkState]) -> Vec<Vec<f64>> {
-    let k = states.len();
-    let pairs: Vec<(usize, usize)> = (0..k)
-        .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
-        .collect();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut matrix = vec![vec![0.0; k]; k];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|w| {
-                let pairs = &pairs;
-                scope.spawn(move || {
-                    pairs
-                        .iter()
-                        .skip(w)
-                        .step_by(threads)
-                        .map(|&(i, j)| (i, j, engine.distance_seq(&states[i], &states[j])))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            let priced = worker.join().expect("an oracle thread panicked");
-            for (i, j, d) in priced {
-                matrix[i][j] = d;
-                matrix[j][i] = d;
-            }
-        }
-    });
-    matrix
-}
-
 /// The SND column `snd anomaly` prints for a raw series.
 pub fn printed_series(raw: &[f64], states: &[NetworkState]) -> Vec<String> {
-    processed_series(raw, states)
-        .iter()
-        .map(|v| format!("{v:.4}"))
-        .collect()
+    fixed4(&processed_series(raw, states))
+}
+
+/// Values as `snd anomaly` prints them, to four decimals.
+fn fixed4(values: &[f64]) -> Vec<String> {
+    values.iter().map(|v| format!("{v:.4}")).collect()
 }
 
 /// A JSON array of floats, each in Rust's shortest round-trip form.

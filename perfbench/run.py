@@ -269,9 +269,19 @@ class Bench:
         """Checks one workload run's output against the oracle."""
         w = self.args.workload
         if w == "series_exact":
-            snd_col = [row[1] for row in anomaly_rows(output)]
-            if snd_col != gen["printed"]:
+            # `snd anomaly` prints the series scaled to [0, 1] and rounded,
+            # which hides a uniform scale error. The raw values of the
+            # function it calls are checked when the oracle is made.
+            if gen["raw_cli"] != gen["raw"]:
+                raise Failure("series_distances, which snd anomaly calls, "
+                              "differs from series_distances_seq")
+            rows = anomaly_rows(output)
+            if [row[1] for row in rows] != gen["printed"]:
                 raise Failure("printed SND series differs from series_distances_seq")
+            if [row[2] for row in rows] != gen["scores"]:
+                raise Failure("printed anomaly scores differ from the oracle's")
+            if flagged(output) != gen["flagged"]:
+                raise Failure("flagged transitions differ from the oracle's")
         elif w == "approx_series":
             rows = anomaly_rows(output)
             exact = gen["exact"]
@@ -375,6 +385,8 @@ class Bench:
                          / statistics.median(t["metrics"]["shard.tiles_s"] for t in one))
         values["orchestrate.compute_inflation"] = inflation
         self.record["ctx_build_share_of_setup"] = values["approx.ctx_build_s"] / setup[0]
+        if "sketch_rows" in two[0]:
+            self.record["sketch_rows"] = two[0]["sketch_rows"]
         self.record["failed_frac"] = self.failed / self.attempted
         return with_units(values, "per_layer")
 
@@ -446,6 +458,14 @@ def anomaly_rows(text):
             break
         rows.append(line.split())
     return rows
+
+
+def flagged(text):
+    """The transitions `snd anomaly` flags, from its `top-k` line."""
+    for line in text.splitlines():
+        if line.startswith("top-") and "flagged transitions:" in line:
+            return json.loads(line.split(":", 1)[1])
+    raise Failure("no flagged transitions in the output")
 
 
 def interval_text(row):
