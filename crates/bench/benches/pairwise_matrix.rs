@@ -10,9 +10,6 @@
 //! * `batch_cold` — `pairwise_distances`: geometry once per state, SSSP
 //!   rows computed at most once per ground state into shared caches, all
 //!   EMD\* terms fanned out over the thread pool. Caches start empty.
-//! * `batch_warm` — `pairwise_distances_with` over pre-filled bundles:
-//!   the re-pricing regime (same snapshots, new query) where every row is
-//!   a cache hit and only the transportation solves remain.
 //! * `sharded_2` — the scale-out configuration: the tile grid split
 //!   round-robin across 2 shard plans (`SndEngine::pairwise_tiles`), both
 //!   computed back-to-back on this machine, then merged and validated
@@ -30,7 +27,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snd_core::{auto_tile, ShardPlan, SndConfig, SndEngine, StateGeometry, TileGrid, TileSet};
+use snd_core::{auto_tile, ShardPlan, SndConfig, SndEngine, TileGrid, TileSet};
 use snd_data::{generate_series, SyntheticSeriesConfig};
 use snd_models::dynamics::VotingConfig;
 
@@ -83,11 +80,6 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("batch_cold", &label), &(), |b, ()| {
         b.iter(|| engine.pairwise_distances(states))
     });
-    let warm: Vec<StateGeometry> = states.iter().map(|s| engine.state_geometry(s)).collect();
-    engine.pairwise_distances_with(states, &warm); // fill the caches
-    group.bench_with_input(BenchmarkId::new("batch_warm", &label), &(), |b, ()| {
-        b.iter(|| engine.pairwise_distances_with(states, &warm))
-    });
 
     let shards = env_usize("SND_BENCH_SHARDS", 2).max(2);
     let tile = auto_tile(states.len(), nodes);
@@ -124,10 +116,9 @@ fn write_history(nodes: usize, snapshots: usize, edges: usize, shards: usize, ti
             .find(|m| m.id.contains(needle))
             .map(|m| m.mean_s)
     };
-    let (Some(seq), Some(cold), Some(warm), Some(sharded)) = (
+    let (Some(seq), Some(cold), Some(sharded)) = (
         mean("sequential_naive"),
         mean("batch_cold"),
-        mean("batch_warm"),
         mean("sharded_"),
     ) else {
         return;
@@ -140,15 +131,14 @@ fn write_history(nodes: usize, snapshots: usize, edges: usize, shards: usize, ti
         "{{\n  \"bench\": \"pairwise_matrix\",\n  \"unix_time\": {stamp},\n  \
          \"nodes\": {nodes},\n  \"snapshots\": {snapshots},\n  \"edges\": {edges},\n  \
          \"threads\": {threads},\n  \"sequential_naive_s\": {seq:.4},\n  \
-         \"batch_cold_s\": {cold:.4},\n  \"batch_warm_s\": {warm:.4},\n  \
+         \"batch_cold_s\": {cold:.4},\n  \
          \"sharded_shards\": {shards},\n  \"sharded_tile\": {tile},\n  \
          \"sharded_total_s\": {sharded:.4},\n  \
          \"sharded_overhead_vs_cold\": {so:.2},\n  \
-         \"speedup_cold\": {sc:.2},\n  \"speedup_warm\": {sw:.2}\n}}\n",
+         \"speedup_cold\": {sc:.2}\n}}\n",
         threads = rayon::current_num_threads(),
         so = sharded / cold,
         sc = seq / cold,
-        sw = seq / warm,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pairwise.json");
     match std::fs::write(path, &json) {

@@ -1,16 +1,14 @@
 //! Certified series pricing at scale: one delta-repaired sketch bundle
-//! carried along the series vs re-sketching every snapshot from scratch.
+//! carried along the series.
 //!
 //! The workload is the low-churn regime the sketch-repair path is built
 //! for: a ~10⁵-node graph whose snapshots differ by a few hundred
 //! balanced flips around one cascade epicenter.
 //! `SndEngine::series_intervals` advances a single sketch bundle through
 //! each transition (landmark rows repaired through the touched edges,
-//! landmarks adapted from term feedback); the baseline
-//! `SndEngine::series_intervals_fresh` rebuilds geometry and sketches per
-//! snapshot. Both return the same kind of certified intervals, and a
-//! subsampled instance small enough to price exactly checks that the
-//! delta path's intervals still bracket the exact SND.
+//! landmarks adapted from term feedback). A subsampled instance small
+//! enough to price exactly checks that its intervals still bracket the
+//! exact SND.
 //!
 //! Results are spliced into `BENCH_scale.json` (repo root) as the
 //! `"series"` member, preserving the `scale_approx` ladder around it.
@@ -21,11 +19,10 @@
 //! `SND_BENCH_EPSILON` (default 0.5), `SND_BENCH_LANDMARKS` (default 24),
 //! `SND_BENCH_GRAPH` (`ba`/`grid`, default `ba`).
 //!
-//! Default geometry: Barabási–Albert with 24 landmarks — enough rows
-//! that the re-sketch baseline's per-snapshot bill dominates, while the
-//! delta path's feedback-driven repair budget keeps only the handful of
-//! pairs the pricing leans on current. 24 transitions amortize the one
-//! shared initial sketch build.
+//! Default geometry: Barabási–Albert with 24 landmarks, of which the
+//! feedback-driven repair budget keeps only the handful of pairs the
+//! pricing leans on current. 24 transitions amortize the one initial
+//! sketch build.
 
 use std::time::Duration;
 
@@ -203,9 +200,6 @@ fn bench_scale_series(c: &mut Criterion) {
         .sample_size(2)
         .warmup_time(Duration::from_millis(1))
         .measurement_time(Duration::from_secs(1));
-    group.bench_function("fresh", |b| {
-        b.iter(|| engine.series_intervals_fresh(&states).unwrap())
-    });
     group.bench_function("delta", |b| {
         b.iter(|| engine.series_intervals(&states).unwrap())
     });
@@ -262,19 +256,14 @@ fn write_history(
             .find(|m| m.id.contains(needle))
             .map(|m| m.mean_s)
     };
-    let (Some(fresh_s), Some(delta_s)) = (mean("fresh"), mean("delta")) else {
+    let Some(delta_s) = mean("delta") else {
         return;
     };
-    let speedup = fresh_s / delta_s;
-    if speedup < 3.0 {
-        println!("scale_series: WARNING speedup {speedup:.2}× below the 3× target");
-    }
     let block = format!(
         "{{\"graph\": \"{kind}\", \"nodes\": {nodes}, \"edges\": {edges}, \
          \"snapshots\": {snapshots}, \"n_delta_per_step\": {n_delta}, \
          \"epsilon\": {epsilon}, \"landmarks\": {landmarks}, \
-         \"threads\": {threads}, \"fresh_s\": {fresh_s:.4}, \
-         \"delta_s\": {delta_s:.4}, \"speedup\": {speedup:.2}, \
+         \"threads\": {threads}, \"delta_s\": {delta_s:.4}, \
          \"bracket_check_nodes\": {check_nodes}, \
          \"intervals_bracket_exact\": {bracketed}}}",
         kind = graph_kind(),

@@ -2,11 +2,11 @@
 //!
 //! Two benches record into the same file: `scale_approx` owns the
 //! crossover ladder and the 10⁶-node headline, `scale_series` owns the
-//! `"series"` member (delta-repaired sketch series vs per-snapshot
-//! re-sketch). Either bench may run alone, so each preserves the other's
-//! half: `scale_approx` rewrites the whole file but re-splices an
-//! existing `"series"` block, and `scale_series` splices its block into
-//! whatever ladder file is present.
+//! `"series"` member (the delta-repaired sketch series). Either bench
+//! may run alone, so each preserves the other's half: `scale_approx`
+//! rewrites the whole file but re-splices an existing `"series"` block,
+//! and `scale_series` splices its block into whatever ladder file is
+//! present.
 
 /// Byte span of the `"series"` member — from the comma (or whitespace)
 /// preceding the key through the value object's closing brace.

@@ -9,30 +9,30 @@
 //! grounded in that state.
 //!
 //! [`SndEngine::pairwise_distances`] restructures this around the
-//! per-state [`StateGeometry`] bundle: geometries are computed once per
-//! state (in parallel across states), and every `(ground state, opinion,
-//! direction, node)` SSSP row is computed at most once — concurrent terms
-//! pull rows from the bundle's shared [`RowCache`](crate::sparse::RowCache).
-//! The `4·T·(T−1)/2` EMD\* terms then fan out over the thread pool
-//! individually, which load-balances well because term cost varies with
-//! the pair's residual size.
+//! per-state [`StateGeometry`] bundle: it is the tile path of
+//! [`crate::shard`] over one tile holding every pair. Geometries are
+//! computed once per state (in parallel across states), and every
+//! `(ground state, opinion, direction, node)` SSSP row is computed at most
+//! once — concurrent terms pull rows from the bundle's shared
+//! [`RowCache`](crate::sparse::RowCache). The `4·T·(T−1)/2` EMD\* terms
+//! then fan out over the thread pool individually, which load-balances
+//! well because term cost varies with the pair's residual size.
 //!
 //! Results are **bit-identical** to the sequential naive loop: each term is
 //! an exact integer transportation solve, cached rows hold exactly what
 //! recomputation would produce, and per-pair terms are reduced in a fixed
 //! order. The property tests in `tests/batch_parallel.rs` assert this.
 //!
-//! In the *warm* regime (`pairwise_distances_with` over pre-filled
-//! bundles) every SSSP row is a cache hit and the per-term cost is almost
-//! entirely the exact transportation solve — which is why the solver layer
+//! Once every SSSP row is cached, the per-term cost is almost entirely the
+//! exact transportation solve — which is why the solver layer
 //! (per-instance `Solver::Auto` selection, anti-cycling block-priced
 //! simplex) is the lever for this path; see `BENCH_pairwise.json` /
 //! `BENCH_solver.json` for the tracked numbers.
 
-use rayon::prelude::*;
 use snd_models::NetworkState;
 
-use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
+use crate::engine::{SndEngine, StateGeometry};
+use crate::shard::{ShardPlan, TileGrid};
 use crate::sparse;
 
 /// Symmetric all-pairs distance matrix over a snapshot set (row-major,
@@ -91,48 +91,14 @@ impl<'g> SndEngine<'g> {
     /// All-pairs SND matrix over a snapshot set: geometry computed once per
     /// state, SSSP rows computed at most once per ground state and shared
     /// through thread-safe caches, all `4·T·(T−1)/2` EMD\* terms fanned out
-    /// over the thread pool.
+    /// over the thread pool — the tile path over one tile holding every
+    /// pair.
     pub fn pairwise_distances(&self, states: &[NetworkState]) -> DistanceMatrix {
-        let geoms: Vec<StateGeometry> = states.par_iter().map(|s| self.state_geometry(s)).collect();
-        self.pairwise_distances_with(states, &geoms)
-    }
-
-    /// [`pairwise_distances`](Self::pairwise_distances) over caller-owned
-    /// bundles — reuse them to price additional snapshots against the same
-    /// set, or to inspect cache statistics afterwards.
-    pub fn pairwise_distances_with(
-        &self,
-        states: &[NetworkState],
-        geoms: &[StateGeometry],
-    ) -> DistanceMatrix {
-        assert_eq!(states.len(), geoms.len(), "one geometry bundle per state");
-        let k = states.len();
-        let pairs: Vec<(usize, usize)> = (0..k)
-            .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
-            .collect();
-        // Fan out at term granularity (4 independent EMD* solves per pair):
-        // term cost varies wildly with the pair's residual size, so finer
-        // work items load-balance better than whole pairs.
-        let terms: Vec<f64> = (0..pairs.len() * 4)
-            .into_par_iter()
-            .map(|t| {
-                let (i, j) = pairs[t / 4];
-                self.pair_term(&states[i], &states[j], &geoms[i], &geoms[j], t % 4)
-            })
-            .collect();
-        let upper: Vec<f64> = terms
-            .chunks_exact(4)
-            .map(|t| {
-                SndBreakdown {
-                    forward_pos: t[0],
-                    forward_neg: t[1],
-                    backward_pos: t[2],
-                    backward_neg: t[3],
-                }
-                .total()
-            })
-            .collect();
-        DistanceMatrix::from_upper(k, &upper)
+        let grid = TileGrid::new(states.len(), states.len().max(1));
+        self.pairwise_tiles(states, &ShardPlan::full(grid))
+            .to_matrix()
+            // lint:allow(no-unwrap) a full plan computes every tile, so the matrix has no holes
+            .expect("a full plan covers the matrix")
     }
 
     /// The naive sequential all-pairs loop (no sharing, no threads):
@@ -151,33 +117,13 @@ impl<'g> SndEngine<'g> {
     }
 
     /// One of the four Eq. 3 terms of pair `(a, b)` given the two states'
-    /// bundles, drawing rows from the ground state's shared cache. Term
-    /// order matches [`SndBreakdown`]: forward +, forward −, backward +,
-    /// backward −. Shared with the tile-based shard path
-    /// ([`crate::shard`]).
-    pub(crate) fn pair_term(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        ga: &StateGeometry,
-        gb: &StateGeometry,
-        which: usize,
-    ) -> f64 {
-        let (lo, hi) = self.pair_term_interval(a, b, ga, gb, which);
-        // Zero-width (exact-tier) envelopes return the value itself so the
-        // scalar stays bit-identical to the sparse path; the midpoint of a
-        // genuine interval is the approximate tier's scalar estimate.
-        if lo == hi {
-            return lo;
-        }
-        0.5 * (lo + hi)
-    }
-
-    /// [`pair_term`](Self::pair_term) keeping the certified envelope: the
-    /// exact tier returns a zero-width interval, an active approximate
-    /// tier the term's `[lower, upper]` (whose midpoint is exactly what
-    /// [`pair_term`](Self::pair_term) reports). The tile checkpoint path
-    /// persists these so merged shard matrices stay re-certifiable.
+    /// bundles, drawing rows from the ground state's shared cache, as a
+    /// certified envelope: the exact tier returns a zero-width interval,
+    /// an active approximate tier the term's `[lower, upper]`. Term order
+    /// matches [`SndBreakdown`](crate::SndBreakdown): forward +,
+    /// forward −, backward +, backward −. The tile path
+    /// ([`crate::shard`]) folds these into scalars and persists the
+    /// envelopes so merged shard matrices stay re-certifiable.
     pub(crate) fn pair_term_interval(
         &self,
         a: &NetworkState,
@@ -268,21 +214,6 @@ mod tests {
         for (t, &d) in adj.iter().enumerate() {
             assert_eq!(d, m.at(t, t + 1));
         }
-    }
-
-    #[test]
-    fn reusing_bundles_adds_no_new_rows() {
-        let g = path_graph(8);
-        let engine = SndEngine::new(&g, SndConfig::default());
-        let s = states();
-        let geoms: Vec<StateGeometry> = s.iter().map(|st| engine.state_geometry(st)).collect();
-        let first = engine.pairwise_distances_with(&s, &geoms);
-        let rows_after: Vec<usize> = geoms.iter().map(|b| b.cached_rows()).collect();
-        assert!(rows_after.iter().sum::<usize>() > 0);
-        let second = engine.pairwise_distances_with(&s, &geoms);
-        let rows_again: Vec<usize> = geoms.iter().map(|b| b.cached_rows()).collect();
-        assert_eq!(rows_after, rows_again, "second evaluation: zero new SSSP");
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!    row and γ verbatim. Repaired geometry is bit-identical to
 //!    [`compute_geometry`](crate::banks::compute_geometry) because
 //!    shortest-path distances are unique.
-//! 3. **Transitions** ([`SeriesEvaluator`]): identical consecutive states
-//!    (empty delta) short-circuit to
-//!    [`SndBreakdown::default`](crate::SndBreakdown); otherwise the four
-//!    EMD\* terms are evaluated exactly as the batch path would, over the
+//! 3. **Transitions** (the series walk behind
+//!    [`SndEngine::series_distances`] and
+//!    [`SndEngine::series_intervals`]): identical consecutive states
+//!    (empty delta) short-circuit to zero; otherwise the four EMD\* terms
+//!    are evaluated exactly as the batch path would, over the
 //!    incrementally-derived geometries. At most **two** geometry bundles
 //!    are live at any point (asserted by `tests/series_memory.rs`).
 //!
@@ -1088,68 +1089,79 @@ impl GroundGeometry {
     }
 }
 
-/// Delta-aware series evaluation over one engine.
-///
-/// [`SndEngine::series_distances`] delegates here; construct one directly
-/// to reuse it across calls or to drive custom series workloads.
-pub struct SeriesEvaluator<'e, 'g> {
-    engine: &'e SndEngine<'g>,
+/// The inputs of one transition's four EMD\* terms in
+/// [`SndBreakdown`](crate::SndBreakdown) order: geometries, row caches and
+/// live sketches, the forward terms grounded in `prev` and the backward
+/// terms in `cur`.
+pub(crate) type TermInputs<'a> = (
+    [&'a GroundGeometry; 4],
+    [Option<&'a RowCache>; 4],
+    [Option<&'a SketchRows>; 4],
+);
+
+/// [`TermInputs`] of the transition from `prev` to `cur`, each bundle
+/// paired with its row cache.
+pub(crate) fn term_inputs<'a>(
+    (prev, prev_rows): (&'a DeltaStateGeometry, &'a RowCache),
+    (cur, cur_rows): (&'a DeltaStateGeometry, &'a RowCache),
+) -> TermInputs<'a> {
+    (
+        [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
+        [prev_rows, prev_rows, cur_rows, cur_rows].map(Some),
+        [
+            prev.pos.sketch.as_ref(),
+            prev.neg.sketch.as_ref(),
+            cur.pos.sketch.as_ref(),
+            cur.neg.sketch.as_ref(),
+        ],
+    )
 }
 
-impl<'e, 'g> SeriesEvaluator<'e, 'g> {
-    /// An evaluator over `engine`.
-    pub fn new(engine: &'e SndEngine<'g>) -> Self {
-        SeriesEvaluator { engine }
+/// The delta-series walk: one value per adjacent transition of
+/// `states`. Identical consecutive states yield `zero` unpriced (every
+/// EMD\* term over equal states is exactly zero, and the geometry and
+/// caches carry over untouched); every other transition steps the
+/// repairable bundle and hands both bundles, each with its row cache, to
+/// `price`, which may adapt the later bundle before the walk moves on
+/// from it. Exactly two bundles (and two row caches) are live at any
+/// point; the geometries are borrowed into pricing, never cloned.
+pub(crate) fn walk_series<T: Copy>(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
+    zero: T,
+    mut price: impl FnMut(
+        &NetworkState,
+        &NetworkState,
+        (&DeltaStateGeometry, &RowCache),
+        (&mut DeltaStateGeometry, &RowCache),
+    ) -> T,
+) -> Vec<T> {
+    if states.len() < 2 {
+        return Vec::new();
     }
-
-    /// Distances between adjacent states, delta-aware and bit-identical
-    /// to [`SndEngine::series_distances_seq`]. Exactly two repairable
-    /// geometry bundles (and two row caches) are live at any point; the
-    /// geometries are *borrowed* into the term evaluation — never cloned
-    /// per transition.
-    pub fn distances(&self, states: &[NetworkState]) -> Vec<f64> {
-        if states.len() < 2 {
-            return Vec::new();
+    let g = engine.graph();
+    let n = g.node_count();
+    let mut out = Vec::with_capacity(states.len() - 1);
+    let mut prev = DeltaStateGeometry::fresh(engine, &states[0]);
+    let mut prev_rows = RowCache::new(n);
+    for t in 1..states.len() {
+        let delta = StateDelta::between(g, &states[t - 1], &states[t]);
+        if delta.is_empty() {
+            out.push(zero);
+            continue;
         }
-        let engine = self.engine;
-        let g = engine.graph();
-        let n = g.node_count();
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = DeltaStateGeometry::fresh(engine, &states[0]);
-        let mut prev_rows = RowCache::new(n);
-        for t in 1..states.len() {
-            let delta = StateDelta::between(g, &states[t - 1], &states[t]);
-            if delta.is_empty() {
-                // Identical states: every EMD* term is exactly zero, and
-                // the geometry (hence the caches) carries over untouched.
-                out.push(crate::engine::SndBreakdown::default().total());
-                continue;
-            }
-            let cur = prev.step(engine, &states[t], &delta);
-            let cur_rows = RowCache::new(n);
-            let breakdown = engine.terms_sketched(
-                &states[t - 1],
-                &states[t],
-                [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
-                [
-                    Some(&prev_rows),
-                    Some(&prev_rows),
-                    Some(&cur_rows),
-                    Some(&cur_rows),
-                ],
-                [
-                    prev.pos.sketch.as_ref(),
-                    prev.neg.sketch.as_ref(),
-                    cur.pos.sketch.as_ref(),
-                    cur.neg.sketch.as_ref(),
-                ],
-            );
-            out.push(breakdown.total());
-            prev = cur;
-            prev_rows = cur_rows; // the old cache drops here
-        }
-        out
+        let mut cur = prev.step(engine, &states[t], &delta);
+        let cur_rows = RowCache::new(n);
+        out.push(price(
+            &states[t - 1],
+            &states[t],
+            (&prev, &prev_rows),
+            (&mut cur, &cur_rows),
+        ));
+        prev = cur;
+        prev_rows = cur_rows; // the old cache drops here
     }
+    out
 }
 
 #[cfg(test)]
@@ -1245,7 +1257,7 @@ mod tests {
         let states = random_series(30, 6, 11);
         for config in configs() {
             let engine = SndEngine::new(&g, config);
-            let delta = SeriesEvaluator::new(&engine).distances(&states);
+            let delta = engine.series_distances(&states);
             let seq = engine.series_distances_seq(&states);
             assert_eq!(delta, seq, "bit-identical series");
         }
@@ -1261,7 +1273,7 @@ mod tests {
         b.set(3, Opinion::Neutral);
         // a, a (identical), b, b, a — two static transitions inside.
         let states = vec![a.clone(), a.clone(), b.clone(), b, a];
-        let delta = SeriesEvaluator::new(&engine).distances(&states);
+        let delta = engine.series_distances(&states);
         assert_eq!(delta[0], 0.0);
         assert_eq!(delta[2], 0.0);
         assert_eq!(delta, engine.series_distances_seq(&states));
@@ -1324,7 +1336,7 @@ mod tests {
         }
         for config in configs() {
             let engine = SndEngine::new(&g, config);
-            let delta = SeriesEvaluator::new(&engine).distances(&states);
+            let delta = engine.series_distances(&states);
             assert_eq!(delta, engine.series_distances_seq(&states));
         }
     }

@@ -9,9 +9,7 @@
 //! [`pairwise_distances`](SndEngine::pairwise_distances) fans comparisons
 //! out over all cores. [`series_distances`](SndEngine::series_distances)
 //! instead walks the series *incrementally* (delta-aware, see
-//! [`crate::delta`]) with per-transition parallelism only —
-//! [`series_distances_batch`](SndEngine::series_distances_batch) keeps the
-//! windowed cross-transition fan-out for multi-core runs. Results are
+//! [`crate::delta`]) with per-transition parallelism only. Results are
 //! bit-identical to a sequential evaluation either way: every term is an
 //! independent exact computation and reductions happen in a fixed order.
 //!
@@ -504,7 +502,9 @@ impl<'g> SndEngine<'g> {
     ) -> Result<SndInterval, ApproxError> {
         let approx_cfg = self.validated_approx()?;
         let (ga, gb) = rayon::join(|| self.state_geometry(a), || self.state_geometry(b));
-        let interval = self.interval_with(a, b, &ga, &gb, &approx_cfg);
+        let caches = [&ga.cache, &ga.cache, &gb.cache, &gb.cache].map(Some);
+        let geoms = [&ga.pos, &ga.neg, &gb.pos, &gb.neg];
+        let (interval, _) = self.interval_terms(a, b, geoms, caches, [None; 4], &approx_cfg);
         approx::emit_trace_summary("distance_interval");
         Ok(interval)
     }
@@ -519,103 +519,30 @@ impl<'g> SndEngine<'g> {
     /// sketch rows are *repaired* across each transition instead of
     /// recomputed. After each priced transition the refinement loop's
     /// worst-cell feedback adapts the next ground state's landmark set
-    /// ([`DeltaStateGeometry::adapt_sketch`](crate::delta::DeltaStateGeometry::adapt_sketch)).
+    /// (adaptive landmark placement, see [`crate::delta`]).
     pub fn series_intervals(
         &self,
         states: &[NetworkState],
     ) -> Result<Vec<SndInterval>, ApproxError> {
         let approx_cfg = self.validated_approx()?;
-        if states.len() < 2 {
-            return Ok(Vec::new());
-        }
-        let g = self.graph;
-        let n = g.node_count();
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = crate::delta::DeltaStateGeometry::fresh(self, &states[0]);
-        let mut prev_rows = RowCache::new(n);
-        for t in 1..states.len() {
-            let delta = snd_models::StateDelta::between(g, &states[t - 1], &states[t]);
-            if delta.is_empty() {
-                out.push(SndInterval {
-                    lower: 0.0,
-                    upper: 0.0,
-                });
-                continue;
-            }
-            let mut cur = prev.step(self, &states[t], &delta);
-            let cur_rows = RowCache::new(n);
-            let (interval, feedback) = self.interval_terms(
-                &states[t - 1],
-                &states[t],
-                [&prev.pos.geom, &prev.neg.geom, &cur.pos.geom, &cur.neg.geom],
-                [
-                    Some(&prev_rows),
-                    Some(&prev_rows),
-                    Some(&cur_rows),
-                    Some(&cur_rows),
-                ],
-                [
-                    prev.pos.sketch.as_ref(),
-                    prev.neg.sketch.as_ref(),
-                    cur.pos.sketch.as_ref(),
-                    cur.neg.sketch.as_ref(),
-                ],
-                &approx_cfg,
-            );
-            out.push(interval);
+        let zero = SndInterval {
+            lower: 0.0,
+            upper: 0.0,
+        };
+        let out = crate::delta::walk_series(self, states, zero, |a, b, prev, (cur, cur_rows)| {
+            let (geoms, caches, sketches) = crate::delta::term_inputs(prev, (cur, cur_rows));
+            let (interval, feedback) =
+                self.interval_terms(a, b, geoms, caches, sketches, &approx_cfg);
             // The backward terms ground in `cur`, which is exactly the
             // next transition's forward ground state — fold their hot
             // cells into its landmark set before stepping on.
             let [_, _, feedback_pos, feedback_neg] = feedback;
-            cur.adapt_sketch(
-                self,
-                Opinion::Positive,
-                &feedback_pos,
-                approx_cfg.max_landmarks,
-            );
-            cur.adapt_sketch(
-                self,
-                Opinion::Negative,
-                &feedback_neg,
-                approx_cfg.max_landmarks,
-            );
-            prev = cur;
-            prev_rows = cur_rows;
-        }
+            let max_landmarks = approx_cfg.max_landmarks;
+            cur.adapt_sketch(self, Opinion::Positive, &feedback_pos, max_landmarks);
+            cur.adapt_sketch(self, Opinion::Negative, &feedback_neg, max_landmarks);
+            interval
+        });
         approx::emit_trace_summary("series_intervals");
-        Ok(out)
-    }
-
-    /// The pre-delta interval series baseline: a fresh
-    /// [`state_geometry`](Self::state_geometry) per snapshot, landmark
-    /// rows re-fetched through each bundle's cache (2·L sketch SSSPs per
-    /// plane per snapshot), no adaptation. Certified exactly like
-    /// [`series_intervals`](Self::series_intervals); kept as the
-    /// re-sketch baseline the `scale_series` bench measures the
-    /// delta-repaired path against.
-    pub fn series_intervals_fresh(
-        &self,
-        states: &[NetworkState],
-    ) -> Result<Vec<SndInterval>, ApproxError> {
-        let approx_cfg = self.validated_approx()?;
-        if states.len() < 2 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut prev = self.state_geometry(&states[0]);
-        for t in 1..states.len() {
-            if states[t - 1] == states[t] {
-                out.push(SndInterval {
-                    lower: 0.0,
-                    upper: 0.0,
-                });
-                continue;
-            }
-            let cur = self.state_geometry(&states[t]);
-            out.push(self.interval_with(&states[t - 1], &states[t], &prev, &cur, &approx_cfg));
-            prev = cur;
-        }
-        approx::emit_trace_summary("series_intervals_fresh");
         Ok(out)
     }
 
@@ -676,37 +603,6 @@ impl<'g> SndEngine<'g> {
         )
     }
 
-    /// [`interval_terms`](Self::interval_terms) over two per-state
-    /// bundles, feedback discarded — the pair-query surface.
-    fn interval_with(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        ga: &StateGeometry,
-        gb: &StateGeometry,
-        approx_cfg: &ApproxConfig,
-    ) -> SndInterval {
-        let (interval, _) = self.interval_terms(
-            a,
-            b,
-            [&ga.pos, &ga.neg, &gb.pos, &gb.neg],
-            [
-                Some(&ga.cache),
-                Some(&ga.cache),
-                Some(&gb.cache),
-                Some(&gb.cache),
-            ],
-            [
-                ga.sketch_pos.as_ref(),
-                ga.sketch_neg.as_ref(),
-                gb.sketch_pos.as_ref(),
-                gb.sketch_neg.as_ref(),
-            ],
-            approx_cfg,
-        );
-        interval
-    }
-
     /// SND via the dense reference path (full APSP + full extended LP).
     /// `O(n²)` memory — intended for validation and the Fig. 11 baseline.
     pub fn distance_dense(&self, a: &NetworkState, b: &NetworkState) -> f64 {
@@ -731,51 +627,10 @@ impl<'g> SndEngine<'g> {
     /// [`series_distances_seq`](Self::series_distances_seq); at most two
     /// geometry bundles are live at any point.
     pub fn series_distances(&self, states: &[NetworkState]) -> Vec<f64> {
-        crate::delta::SeriesEvaluator::new(self).distances(states)
-    }
-
-    /// The pre-delta batch series path: geometries for a window of states
-    /// computed concurrently, then every transition fanned out over the
-    /// thread pool. Kept as the wall-clock baseline the delta path is
-    /// benchmarked against (`BENCH_series.json`) and for multi-core runs
-    /// where cross-transition parallelism can beat incremental repair.
-    /// Bit-identical to [`series_distances_seq`](Self::series_distances_seq).
-    pub fn series_distances_batch(&self, states: &[NetworkState]) -> Vec<f64> {
-        use rayon::prelude::*;
-        if states.len() < 2 {
-            return Vec::new();
-        }
-        // Evaluate in windows so at most GEOMETRY_WINDOW bundles (each
-        // holding geometries plus cached SSSP rows, O(n) apiece) are live
-        // at once — a long series on a large graph must not hold T bundles
-        // simultaneously. The one overlap state per window boundary is
-        // recomputed, which is deterministic and amortized by the window.
-        const GEOMETRY_WINDOW: usize = 33;
-        let mut out = Vec::with_capacity(states.len() - 1);
-        let mut lo = 0usize;
-        while lo + 1 < states.len() {
-            let hi = (lo + GEOMETRY_WINDOW - 1).min(states.len() - 1);
-            let geoms: Vec<StateGeometry> = states[lo..=hi]
-                .par_iter()
-                .map(|s| self.state_geometry(s))
-                .collect();
-            out.extend(
-                (lo + 1..hi + 1)
-                    .into_par_iter()
-                    .map(|t| {
-                        self.breakdown_with(
-                            &states[t - 1],
-                            &states[t],
-                            &geoms[t - 1 - lo],
-                            &geoms[t - lo],
-                        )
-                        .total()
-                    })
-                    .collect::<Vec<f64>>(),
-            );
-            lo = hi;
-        }
-        out
+        crate::delta::walk_series(self, states, 0.0, |a, b, prev, (cur, cur_rows)| {
+            let (geoms, caches, sketches) = crate::delta::term_inputs(prev, (cur, cur_rows));
+            self.terms_sketched(a, b, geoms, caches, sketches).total()
+        })
     }
 
     /// Sequential reference implementation of

@@ -55,8 +55,9 @@
 //! (high-churn dynamics), when the clamped `u32` distance domain would be
 //! lossy (`U·n + 1` past the sentinel cap), or under the
 //! `HalfExactDiameter` γ policy (whose per-member SSSPs are not cached).
-//! Measured effect on the 10k-node series workload: `BENCH_series.json`
-//! (regenerate with `cargo bench -p snd-bench --bench delta_series`).
+//! Measured against [`SndEngine::series_distances_seq`] on the 10k-node
+//! series workload: `BENCH_series.json` (regenerate with
+//! `cargo bench -p snd-bench --bench delta_series`).
 //!
 //! # The approximate tier (million-node graphs)
 //!
@@ -139,7 +140,7 @@ pub use approx::{ApproxConfig, ApproxError, SndInterval};
 pub use banks::GroundGeometry;
 pub use batch::DistanceMatrix;
 pub use config::{ClusterSpec, GammaPolicy, SndConfig};
-pub use delta::{DeltaStateGeometry, SeriesEvaluator, SketchRows, REPAIR_EDGE_FRACTION};
+pub use delta::{DeltaStateGeometry, SketchRows, REPAIR_EDGE_FRACTION};
 pub use engine::{SndBreakdown, SndEngine, StateGeometry};
 pub use ordered::{CandidateEvaluator, OrderedSnd};
 pub use shard::{

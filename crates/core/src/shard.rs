@@ -98,10 +98,11 @@ use std::ops::Range;
 use std::path::Path;
 
 use rayon::prelude::*;
-use snd_models::NetworkState;
+use snd_models::{NetworkState, StateDelta};
 
 use crate::approx::SndInterval;
 use crate::batch::DistanceMatrix;
+use crate::delta::DeltaStateGeometry;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
 
 /// Default tile edge (states per block): `8 × 8` tiles hold up to 64
@@ -154,16 +155,16 @@ const MAGIC: &str = "SNDSHARD v1";
 pub type OnTile<'a> =
     dyn FnMut(usize, &[f64], Option<&[(f64, f64)]>, f64) -> Result<(), ShardError> + 'a;
 
-/// Tile-computation callee plugged into the shared checkpointed-run
-/// skeleton (`SndEngine::run_checkpointed`): the batch plan path or the
-/// delta-advanced series path.
-type TileCompute<'g> = fn(
-    &SndEngine<'g>,
-    &[NetworkState],
-    &ShardPlan,
-    &mut TileSet,
-    &mut OnTile<'_>,
-) -> Result<(), ShardError>;
+/// How the tile loop builds the state geometries a tile needs that no
+/// earlier tile of the run left alive.
+#[derive(Clone, Copy)]
+enum Geometries {
+    /// A fresh [`StateGeometry`] per state, built in parallel.
+    Fresh,
+    /// One repairable delta bundle advanced along the states (the series
+    /// path, see [`crate::delta`]).
+    DeltaChain,
+}
 
 /// Errors from shard planning, checkpoint IO, and merging.
 #[derive(Debug)]
@@ -1055,11 +1056,11 @@ pub fn parse_timing_line(line: &str, grid: &TileGrid) -> Option<(usize, f64)> {
 }
 
 /// Folds a tile's per-term `[lo, hi]` envelopes (four per pair, in
-/// [`SndBreakdown`] order) into the tile's scalar values — bit-identical
-/// to what [`SndEngine::pair_term`] reports, since each term collapses to
-/// its exact value when the envelope is zero-width and to its midpoint
-/// otherwise — plus, when `certified`, the per-pair `[lo, hi]` list the
-/// `I` checkpoint lines persist.
+/// [`SndBreakdown`] order) into the tile's scalar values — each term
+/// collapses to its exact value when the envelope is zero-width (so the
+/// scalar stays bit-identical to the sparse path) and to its midpoint,
+/// the approximate tier's estimate, otherwise — plus, when `certified`,
+/// the per-pair `[lo, hi]` list the `I` checkpoint lines persist.
 fn fold_tile_terms(terms: &[(f64, f64)], certified: bool) -> (Vec<f64>, Option<Vec<(f64, f64)>>) {
     fn breakdown(t: &[(f64, f64)], pick: impl Fn(&(f64, f64)) -> f64) -> f64 {
         SndBreakdown {
@@ -1122,11 +1123,9 @@ impl<'g> SndEngine<'g> {
     /// plan partition, merged, is bit-identical to
     /// [`pairwise_distances_seq`](Self::pairwise_distances_seq).
     pub fn pairwise_tiles(&self, states: &[NetworkState], plan: &ShardPlan) -> TileSet {
-        let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_plan_tiles(states, plan, &mut set, &mut |_, _, _, _| Ok(()))
+        self.pairwise_tiles_with(states, plan, &mut |_, _, _, _| Ok(()))
             // lint:allow(no-unwrap) the no-op sink closure is the only error source and always returns Ok
-            .expect("in-memory tile computation performs no IO");
-        set
+            .expect("in-memory tile computation performs no IO")
     }
 
     /// [`pairwise_tiles`](Self::pairwise_tiles) with a per-tile hook:
@@ -1143,7 +1142,7 @@ impl<'g> SndEngine<'g> {
         on_tile: &mut OnTile<'_>,
     ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_plan_tiles(states, plan, &mut set, on_tile)?;
+        self.compute_plan_tiles(states, plan, &mut set, on_tile, Geometries::Fresh)?;
         Ok(set)
     }
 
@@ -1158,11 +1157,11 @@ impl<'g> SndEngine<'g> {
         plan: &ShardPlan,
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
-        self.run_checkpointed(states, plan, path, Self::compute_plan_tiles)
+        self.run_checkpointed(states, plan, path, Geometries::Fresh)
     }
 
     /// The shared checkpointed-run skeleton: open/validate/resume the
-    /// checkpoint, hand the missing tiles to `compute` with the
+    /// checkpoint, hand the missing tiles to the tile loop with the
     /// append-and-flush hook, and account for the run. Both the batch
     /// tile path and the delta series path go through here, so the
     /// checkpoint handling can never diverge between them.
@@ -1171,7 +1170,7 @@ impl<'g> SndEngine<'g> {
         states: &[NetworkState],
         plan: &ShardPlan,
         path: &Path,
-        compute: TileCompute<'g>,
+        build: Geometries,
     ) -> Result<ShardRun, ShardError> {
         let (mut set, mut ckpt) =
             Checkpoint::open(path, *plan.grid(), self.shard_fingerprint(states))?;
@@ -1180,12 +1179,12 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        compute(
-            self,
+        self.compute_plan_tiles(
             states,
             plan,
             &mut set,
             &mut |id, values, ivs, secs| ckpt.append(id, values, ivs, Some(secs)),
+            build,
         )?;
         Ok(ShardRun {
             tiles: set.restrict(plan.tile_ids()),
@@ -1195,13 +1194,17 @@ impl<'g> SndEngine<'g> {
     }
 
     /// Computes the plan's tiles missing from `set`, invoking `on_tile`
-    /// (the checkpoint append hook) before recording each one.
+    /// (the checkpoint append hook) before recording each one. Tiles are
+    /// visited in ascending ID order, which for a superdiagonal plan walks
+    /// the states monotonically — what lets [`Geometries::DeltaChain`]
+    /// advance one transition at a time.
     fn compute_plan_tiles(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
+        build: Geometries,
     ) -> Result<(), ShardError> {
         let grid = plan.grid();
         assert_eq!(
@@ -1240,6 +1243,9 @@ impl<'g> SndEngine<'g> {
         }
 
         let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
+        // The delta chain: the most recently materialized state's
+        // repairable geometry (unused by fresh builds).
+        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
         // that is the true cost of scheduling the tile, which is what an
@@ -1251,21 +1257,57 @@ impl<'g> SndEngine<'g> {
                 .copied()
                 .filter(|&s| geoms[s].is_none())
                 .collect();
-            let computed: Vec<(usize, StateGeometry)> = needed
-                .par_iter()
-                .map(|&s| (s, self.state_geometry(&states[s])))
-                .collect();
-            for (s, g) in computed {
-                geoms[s] = Some(g);
+            match build {
+                Geometries::Fresh => {
+                    let computed: Vec<(usize, StateGeometry)> = needed
+                        .par_iter()
+                        .map(|&s| (s, self.state_geometry(&states[s])))
+                        .collect();
+                    for (s, g) in computed {
+                        geoms[s] = Some(g);
+                    }
+                }
+                // Advancing the chain one transition costs the touched-edge
+                // sweep plus row repair; a gap longer than two blocks
+                // (resumed tiles) is cheaper to cross with a fresh build.
+                Geometries::DeltaChain => {
+                    for &s in &needed {
+                        let cache = match chain.take() {
+                            Some((at, mut cache)) if at < s && s - at <= 2 * grid.tile_size() => {
+                                for k in at + 1..=s {
+                                    let delta = StateDelta::between(
+                                        self.graph(),
+                                        &states[k - 1],
+                                        &states[k],
+                                    );
+                                    if !delta.is_empty() {
+                                        cache = cache.step(self, &states[k], &delta);
+                                    }
+                                }
+                                cache
+                            }
+                            Some((at, cache)) if at == s => cache,
+                            _ => DeltaStateGeometry::fresh(self, &states[s]),
+                        };
+                        geoms[s] = Some(cache.bundle(self));
+                        chain = Some((s, cache));
+                    }
+                }
             }
 
             let pairs = grid.pairs(id);
-            // Term-granularity fan-out, exactly like `pairwise_distances`:
-            // the four EMD* solves of a pair are independent, and finer
-            // work items load-balance better than whole pairs.
+            // Identical states price to exactly zero (every EMD* term of
+            // an equal pair vanishes) — skip their solves outright.
+            let equal: Vec<bool> = pairs.iter().map(|&(i, j)| states[i] == states[j]).collect();
+            // Term-granularity fan-out: the four EMD* solves of a pair are
+            // independent, and finer work items load-balance better than
+            // whole pairs.
             let terms: Vec<(f64, f64)> = (0..pairs.len() * 4)
                 .into_par_iter()
                 .map(|t| {
+                    if equal[t / 4] {
+                        return (0.0, 0.0);
+                    }
                     let (i, j) = pairs[t / 4];
                     let (ga, gb) = (
                         // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
@@ -1314,123 +1356,7 @@ impl<'g> SndEngine<'g> {
     ) -> Result<ShardRun, ShardError> {
         let grid = TileGrid::new(states.len(), tile);
         let plan = ShardPlan::superdiagonal(grid);
-        self.run_checkpointed(states, &plan, path, Self::compute_series_tiles)
-    }
-
-    /// Computes the plan's missing tiles with delta-advanced geometry
-    /// bundles. Tiles are visited in ascending ID order, which for a
-    /// superdiagonal plan walks the states monotonically — the delta
-    /// chain advances one transition at a time and jumps (fresh rebuild)
-    /// across long resumed stretches.
-    fn compute_series_tiles(
-        &self,
-        states: &[NetworkState],
-        plan: &ShardPlan,
-        set: &mut TileSet,
-        on_tile: &mut OnTile<'_>,
-    ) -> Result<(), ShardError> {
-        use crate::delta::DeltaStateGeometry;
-        use snd_models::StateDelta;
-
-        let grid = plan.grid();
-        assert_eq!(
-            grid.states(),
-            states.len(),
-            "tile grid sized for a different snapshot set"
-        );
-        let todo: Vec<usize> = plan
-            .tile_ids()
-            .iter()
-            .copied()
-            .filter(|id| !set.contains(*id))
-            .collect();
-        let certified = self.approx_if_active().is_some();
-
-        let mut last_use = vec![usize::MAX; states.len()];
-        let tile_states: Vec<Vec<usize>> = todo
-            .iter()
-            .map(|&id| {
-                let mut touched: Vec<usize> =
-                    grid.pairs(id).iter().flat_map(|&(i, j)| [i, j]).collect();
-                touched.sort_unstable();
-                touched.dedup();
-                touched
-            })
-            .collect();
-        for (pos, touched) in tile_states.iter().enumerate() {
-            for &s in touched {
-                last_use[s] = pos;
-            }
-        }
-
-        // The delta chain: the most recently materialized state's
-        // repairable geometry. Advancing it one transition costs the
-        // touched-edge sweep plus row repair; a gap longer than two
-        // blocks (resumed tiles) is cheaper to cross with a fresh build.
-        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
-        let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
-        let mut mark = std::time::Instant::now();
-        for (pos, (&id, touched)) in todo.iter().zip(&tile_states).enumerate() {
-            for &s in touched {
-                if geoms[s].is_some() {
-                    continue;
-                }
-                let cache = match chain.take() {
-                    Some((at, cache)) if at < s && s - at <= 2 * grid.tile_size() => {
-                        let mut cache = cache;
-                        for k in at + 1..=s {
-                            let delta =
-                                StateDelta::between(self.graph(), &states[k - 1], &states[k]);
-                            if !delta.is_empty() {
-                                cache = cache.step(self, &states[k], &delta);
-                            }
-                        }
-                        cache
-                    }
-                    Some((at, cache)) if at == s => cache,
-                    _ => DeltaStateGeometry::fresh(self, &states[s]),
-                };
-                geoms[s] = Some(cache.bundle(self));
-                chain = Some((s, cache));
-            }
-
-            let pairs = grid.pairs(id);
-            // Identical states price to exactly zero (every EMD* term of
-            // an equal pair vanishes) — skip their solves outright.
-            let equal: Vec<bool> = pairs.iter().map(|&(i, j)| states[i] == states[j]).collect();
-            let terms: Vec<(f64, f64)> = (0..pairs.len() * 4)
-                .into_par_iter()
-                .map(|t| {
-                    if equal[t / 4] {
-                        return (0.0, 0.0);
-                    }
-                    let (i, j) = pairs[t / 4];
-                    let (ga, gb) = (
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[i].as_ref().expect("geometry materialized"),
-                        // lint:allow(no-unwrap) the materialization pass above filled every index in `pairs`
-                        geoms[j].as_ref().expect("geometry materialized"),
-                    );
-                    self.pair_term_interval(&states[i], &states[j], ga, gb, t % 4)
-                })
-                .collect();
-            let (values, intervals) = fold_tile_terms(&terms, certified);
-
-            let secs = mark.elapsed().as_secs_f64();
-            on_tile(id, &values, intervals.as_deref(), secs)?;
-            match intervals {
-                Some(ivs) => set.insert_certified(id, values, ivs),
-                None => set.insert(id, values),
-            }
-            set.set_timing(id, secs);
-            for &s in touched {
-                if last_use[s] == pos {
-                    geoms[s] = None;
-                }
-            }
-            mark = std::time::Instant::now();
-        }
-        Ok(())
+        self.run_checkpointed(states, &plan, path, Geometries::DeltaChain)
     }
 }
 

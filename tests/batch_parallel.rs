@@ -86,25 +86,35 @@ fn second_evaluation_of_a_shared_ground_state_runs_zero_sssp() {
     let states = random_states(40, 5, &mut rng);
 
     let geoms: Vec<StateGeometry> = states.iter().map(|s| engine.state_geometry(s)).collect();
-    let first = engine.pairwise_distances_with(&states, &geoms);
+    let price_all = || -> Vec<f64> {
+        let mut out = Vec::new();
+        for i in 0..states.len() {
+            for j in (i + 1)..states.len() {
+                let b = engine.breakdown_with(&states[i], &states[j], &geoms[i], &geoms[j]);
+                out.push(b.total());
+            }
+        }
+        out
+    };
+    let first = price_all();
     let rows_per_state: Vec<usize> = geoms.iter().map(|b| b.cached_rows()).collect();
     assert!(
         rows_per_state.iter().sum::<usize>() > 0,
         "the matrix requires SSSP rows"
     );
 
-    // Re-pricing the whole matrix against the same ground states must be a
-    // pure cache read: the row-computation counters do not move.
-    let second = engine.pairwise_distances_with(&states, &geoms);
+    // Re-pricing every pair against the same ground states must be a pure
+    // cache read: the row-computation counters do not move.
+    let second = price_all();
     let rows_after: Vec<usize> = geoms.iter().map(|b| b.cached_rows()).collect();
     assert_eq!(rows_per_state, rows_after, "zero new SSSP runs");
     assert_eq!(first, second);
-
-    // A single extra comparison against an existing ground state also hits
-    // the cache for every row it needs.
-    let before = geoms[0].cached_rows();
-    let _ = engine.breakdown_with(&states[0], &states[1], &geoms[0], &geoms[1]);
-    assert_eq!(geoms[0].cached_rows(), before, "rows already cached");
+    let seq = engine.pairwise_distances_seq(&states);
+    let upper: Vec<f64> = (0..states.len())
+        .flat_map(|i| ((i + 1)..states.len()).map(move |j| (i, j)))
+        .map(|(i, j)| seq.at(i, j))
+        .collect();
+    assert_eq!(first, upper, "bundle pricing matches the sequential loop");
 }
 
 #[test]

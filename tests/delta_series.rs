@@ -2,8 +2,8 @@
 //! scenario and every bank mode, `SndEngine::series_distances` (the
 //! incremental path — touched-edge cost rederivation, SSSP row repair,
 //! empty-delta short-circuit, high-churn fallback) is **bit-identical**
-//! to the sequential reference `series_distances_seq` and to the batch
-//! path — including runs killed and resumed through
+//! to the sequential reference `series_distances_seq` — including runs
+//! killed and resumed through
 //! `analysis::resume::series_distances_checkpointed`.
 
 use proptest::prelude::*;
@@ -49,8 +49,6 @@ fn delta_series_matches_seq_on_every_registry_scenario() {
             let delta = engine.series_distances(&series.states);
             let seq = engine.series_distances_seq(&series.states);
             assert_eq!(delta, seq, "{}: delta vs seq", scenario.name);
-            let batch = engine.series_distances_batch(&series.states);
-            assert_eq!(batch, seq, "{}: batch vs seq", scenario.name);
         }
     }
 }
@@ -121,7 +119,6 @@ fn empty_delta_short_circuit_is_exact_in_every_path() {
         assert_eq!(seq[3], 0.0);
         assert!(seq[2] > 0.0 && seq[4] > 0.0);
         assert_eq!(engine.series_distances(&states), seq);
-        assert_eq!(engine.series_distances_batch(&states), seq);
 
         let path = temp_path("empty_delta.ckpt", 3);
         let _ = std::fs::remove_file(&path);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snd::core::shard::{ShardPlan, TileGrid, TileSet};
-use snd::core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine};
+use snd::core::{ApproxConfig, ClusterSpec, GammaPolicy, SndConfig, SndEngine};
 use snd::graph::generators::barabasi_albert;
 use snd::models::{NetworkState, Opinion};
 
@@ -169,4 +169,55 @@ fn superdiagonal_plan_reproduces_the_series() {
         .map(|t| set.pair(t - 1, t).expect("superdiagonal tile present"))
         .collect();
     assert_eq!(series, engine.series_distances_seq(&states));
+}
+
+/// Snapshot sets with repeated states: the tile loop prices identical
+/// pairs as exactly zero without solving, and that must keep every bit —
+/// for the full-plan matrix against the sequential loop, and for the
+/// delta-chain series tiles against the fresh-geometry tiles of the same
+/// superdiagonal plan — under per-bin, cluster-bank and active
+/// approximate-tier configurations.
+#[test]
+fn repeated_states_keep_every_bit_in_every_tile_path() {
+    let mut rng = SmallRng::seed_from_u64(41);
+    let g = barabasi_albert(16, 2, &mut rng);
+    let distinct = random_states(16, 3, &mut rng);
+    let (a, b, c) = (&distinct[0], &distinct[1], &distinct[2]);
+    // Adjacent repeats (empty deltas) and a repeat across the series.
+    let states: Vec<NetworkState> = [a, a, b, b, b, a, c, c].into_iter().cloned().collect();
+    let configs = [
+        SndConfig::default(),
+        SndConfig {
+            clusters: ClusterSpec::BfsPartition { clusters: 4 },
+            gamma: GammaPolicy::Eccentricity,
+            ..Default::default()
+        },
+        SndConfig {
+            approx: Some(ApproxConfig {
+                min_nodes: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    ];
+    for config in configs {
+        let label = format!("{config:?}");
+        let engine = SndEngine::new(&g, config);
+        let seq = engine.pairwise_distances_seq(&states);
+        for tile in [2, 3] {
+            let grid = TileGrid::new(states.len(), tile);
+            let full = engine.pairwise_tiles(&states, &ShardPlan::full(grid));
+            assert_eq!(full.to_matrix().unwrap(), seq, "{label}, tile {tile}");
+
+            let path = temp_path(&format!("repeated_{tile}.ckpt"), 41);
+            let _ = std::fs::remove_file(&path);
+            let chain = engine
+                .series_tiles_checkpointed(&states, tile, &path)
+                .unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let fresh = engine.pairwise_tiles(&states, &ShardPlan::superdiagonal(grid));
+            assert_eq!(chain.tiles, fresh, "{label}, tile {tile}");
+        }
+        assert_eq!(engine.pairwise_distances(&states), seq, "{label}");
+    }
 }
