@@ -18,9 +18,6 @@
 //! * [`cluster`] — the §9 future-work applications: k-medoids clustering,
 //!   1-NN classification and nearest-neighbor search of network states in
 //!   the metric space SND induces;
-//! * [`resume`] — checkpoint-backed pairwise/series entry points over the
-//!   tile-based shard subsystem (`snd_core::shard`): interrupted runs
-//!   resume from completed tiles;
 //! * [`snd_distance`] — adapters implementing the common
 //!   [`StateDistance`](snd_baselines::StateDistance) trait for the SND
 //!   engine.
@@ -30,7 +27,6 @@ pub mod cluster;
 pub mod error;
 pub mod intervene;
 pub mod predict;
-pub mod resume;
 pub mod roc;
 pub mod series;
 pub mod snd_distance;
@@ -50,7 +46,6 @@ pub use predict::{
     accuracy, distance_based_prediction, distance_based_prediction_batch, extrapolate_linear,
     select_targets, SummaryStats,
 };
-pub use resume::{pairwise_distances_checkpointed, series_distances_checkpointed};
 pub use roc::{auc, roc_curve, tpr_at_fpr, RocPoint};
 pub use series::{normalize_by_activity, normalize_by_change, processed_adjacent, scale_to_unit};
 pub use snd_distance::SndDistance;

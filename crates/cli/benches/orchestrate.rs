@@ -1,14 +1,14 @@
-//! Orchestrated-run benchmark: wall-clock for 1/2/4 local workers plus
-//! the streaming-overlap ablation, gated on bit-identity with the
-//! single-process shard path.
+//! Orchestrated-run benchmark: wall-clock for 1/2/4 local workers, gated
+//! on bit-identity with the single-process shard path.
 //!
 //! Not a criterion harness: each point is one full multi-process run of
 //! the real `snd` binary (coordinator + worker fleet over a Unix
 //! socket), so the interesting number is the end-to-end wall time and
 //! the per-phase worker seconds parsed from its report lines. Results
-//! land in `BENCH_orchestrate.json` at the repo root. The container is
-//! 1-core, so worker counts measure scheduling overhead and overlap
-//! behaviour, not parallel speedup.
+//! land in `BENCH_orchestrate.json` at the repo root, with the machine's
+//! available parallelism and the rayon thread count each process uses:
+//! worker counts past the core count measure scheduling overhead, not
+//! parallel speedup.
 //!
 //! `--test` (used by CI and `cargo test`-adjacent smoke) shrinks the
 //! dataset and skips nothing — the bit-identity gate always runs.
@@ -76,7 +76,6 @@ fn report_counter(stdout: &str, key: &str) -> usize {
 
 struct Run {
     workers: usize,
-    overlap: bool,
     wall_s: f64,
     compute_s: f64,
     flush_wait_s: f64,
@@ -84,18 +83,11 @@ struct Run {
     duplicates: usize,
 }
 
-fn orchestrated_run(
-    data: &Path,
-    ckpt: &Path,
-    out_json: &Path,
-    tile: usize,
-    workers: usize,
-    overlap: bool,
-) -> Run {
+fn orchestrated_run(data: &Path, ckpt: &Path, out_json: &Path, tile: usize, workers: usize) -> Run {
     let _ = std::fs::remove_file(ckpt);
     let tile_s = tile.to_string();
     let workers_s = workers.to_string();
-    let mut args = vec![
+    let args = [
         "orchestrate",
         "--data",
         data.to_str().unwrap(),
@@ -108,13 +100,9 @@ fn orchestrated_run(
         "--out",
         out_json.to_str().unwrap(),
     ];
-    if !overlap {
-        args.push("--no-overlap");
-    }
     let (stdout, wall_s) = snd(&args);
     Run {
         workers,
-        overlap,
         wall_s,
         compute_s: sum_worker_seconds(&stdout, "compute "),
         flush_wait_s: sum_worker_seconds(&stdout, "flush-wait "),
@@ -175,14 +163,13 @@ fn main() {
     ]);
     let reference = std::fs::read(&ref_json).expect("reference matrix");
 
-    // Worker-count curve plus the overlap ablation at 2 workers.
-    let points: &[(usize, bool)] = &[(1, true), (2, true), (4, true), (2, false)];
+    // Worker-count curve.
     let mut runs = Vec::new();
-    for &(workers, overlap) in points {
-        let tag = format!("w{workers}{}", if overlap { "" } else { "_noovl" });
+    for workers in [1, 2, 4] {
+        let tag = format!("w{workers}");
         let ckpt = dir.join(format!("orch_{tag}.snd"));
         let out_json = dir.join(format!("orch_{tag}.json"));
-        let run = orchestrated_run(&data, &ckpt, &out_json, tile, workers, overlap);
+        let run = orchestrated_run(&data, &ckpt, &out_json, tile, workers);
         // The gate: every orchestrated matrix is byte-identical to the
         // single-process artifact (which is itself bit-exact f64 JSON).
         let merged = std::fs::read(&out_json).expect("orchestrated matrix");
@@ -215,9 +202,11 @@ fn write_results(nodes: usize, snapshots: usize, tile: usize, ref_wall: f64, run
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"orchestrate\",\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     json.push_str(&format!(
         "  \"config\": {{\"nodes\": {nodes}, \"snapshots\": {snapshots}, \"tile\": {tile}, \
-         \"cores\": 1}},\n"
+         \"cores\": {cores}, \"threads\": {}}},\n",
+        rayon::current_num_threads()
     ));
     json.push_str(&format!(
         "  \"reference\": {{\"mode\": \"shard 0/1 single process\", \"wall_s\": {ref_wall:.3}}},\n"
@@ -225,11 +214,10 @@ fn write_results(nodes: usize, snapshots: usize, tile: usize, ref_wall: f64, run
     json.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workers\": {}, \"overlap\": {}, \"wall_s\": {:.3}, \"compute_s\": {:.3}, \
+            "    {{\"workers\": {}, \"wall_s\": {:.3}, \"compute_s\": {:.3}, \
              \"flush_wait_s\": {:.4}, \"redispatched\": {}, \"duplicates\": {}, \
              \"bit_identical\": true}}{}\n",
             r.workers,
-            r.overlap,
             r.wall_s,
             r.compute_s,
             r.flush_wait_s,

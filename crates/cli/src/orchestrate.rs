@@ -34,8 +34,6 @@ pub(crate) struct OrchestrateFlags {
     pub target_lease: f64,
     /// Write the merged matrix JSON here once complete.
     pub out: Option<String>,
-    /// Forwarded to spawned workers: disable compute/stream overlap.
-    pub no_overlap: bool,
 }
 
 /// Validated `snd work` flags.
@@ -43,7 +41,6 @@ pub(crate) struct OrchestrateFlags {
 pub(crate) struct WorkFlags {
     pub data: String,
     pub addr: String,
-    pub no_overlap: bool,
     pub connect_retry: f64,
     pub read_timeout: f64,
     /// Artificial per-tile seconds (from `SND_WORK_THROTTLE_MS`), the
@@ -135,7 +132,6 @@ pub(crate) fn orchestrate_flags(args: &[String]) -> Result<OrchestrateFlags, Str
         lease_timeout,
         target_lease,
         out,
-        no_overlap: flag(args, "--no-overlap"),
     })
 }
 
@@ -160,7 +156,6 @@ pub(crate) fn work_flags(args: &[String]) -> Result<WorkFlags, String> {
     Ok(WorkFlags {
         data,
         addr,
-        no_overlap: flag(args, "--no-overlap"),
         connect_retry: seconds_flag(args, "--connect-retry", 10.0)?,
         read_timeout: seconds_flag(args, "--read-timeout", 120.0)?,
         throttle,
@@ -311,9 +306,6 @@ fn spawn_local_workers(
             .arg(addr)
             .args(&fwd)
             .stdin(Stdio::null());
-        if flags.no_overlap {
-            cmd.arg("--no-overlap");
-        }
         children.push(cmd.spawn().map_err(|e| format!("spawning worker: {e}"))?);
     }
     Ok(children)
@@ -350,7 +342,6 @@ pub fn work(args: &[String]) -> Result<(), String> {
     let config = engine_config(args, &graph, dataset.model.as_ref())?;
     let engine = SndEngine::new(&graph, config);
     let opts = WorkerOpts {
-        overlap: !flags.no_overlap,
         connect_retry: Duration::from_secs_f64(flags.connect_retry),
         read_timeout: Duration::from_secs_f64(flags.read_timeout),
         throttle: Duration::from_secs_f64(flags.throttle),
@@ -388,7 +379,6 @@ mod tests {
         "1.5",
         "--out",
         "matrix.json",
-        "--no-overlap",
     ];
 
     const FULL_WORK: &[&str] = &[
@@ -400,7 +390,6 @@ mod tests {
         "3",
         "--read-timeout",
         "60",
-        "--no-overlap",
     ];
 
     #[test]
@@ -417,7 +406,6 @@ mod tests {
                 lease_timeout: 15.0,
                 target_lease: 1.5,
                 out: Some("matrix.json".into()),
-                no_overlap: true,
             }
         );
         // A local-fleet run needs no --listen: a private socket is used.
@@ -440,7 +428,6 @@ mod tests {
         let f = work_flags(&argv(FULL_WORK)).unwrap();
         assert_eq!(f.data, "data.json");
         assert_eq!(f.addr, "127.0.0.1:7070");
-        assert!(f.no_overlap);
         assert_eq!(f.connect_retry, 3.0);
         assert_eq!(f.read_timeout, 60.0);
         assert_eq!(f.throttle, 0.0);

@@ -1312,4 +1312,16 @@ mod tests {
         config.clusters = ClusterSpec::Single;
         assert_eq!(unsupported_bank_mode(&config).as_deref(), Some("Single"));
     }
+
+    #[test]
+    fn quotient_hierarchy_deepens_past_leaf_times_top_clusters() {
+        // One level while the top level's clusters hold at most
+        // `QUOTIENT_LEAF` nodes: n ≤ 64 · 256 = 16,384.
+        let boundary = QUOTIENT_CLUSTERS * QUOTIENT_LEAF;
+        assert_eq!(boundary, 16_384);
+        let g = snd_graph::generators::path_graph(boundary);
+        assert_eq!(build_levels(&g).len(), 1);
+        let g = snd_graph::generators::path_graph(boundary + 1);
+        assert!(build_levels(&g).len() > 1);
+    }
 }

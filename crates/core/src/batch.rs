@@ -140,14 +140,9 @@ impl<'g> SndEngine<'g> {
             _ => (gb, b, a, &gb.neg, Opinion::Negative),
         };
         // Same tier routing as `SndEngine::terms`: an active approximate
-        // tier prices the term as a certified interval, drawing landmark
-        // rows from the bundle's delta-repaired sketch when it carries one.
+        // tier prices the term as a certified interval.
         if let Some(a_cfg) = self.approx_if_active() {
-            let sketch = match op {
-                Opinion::Positive => ground.sketch_pos.as_ref(),
-                _ => ground.sketch_neg.as_ref(),
-            };
-            return self.approx_term(geom, Some(&ground.cache), sketch, p, q, op, &a_cfg);
+            return self.approx_term(geom, Some(&ground.cache), None, p, q, op, &a_cfg);
         }
         let v = sparse::emd_star_term(
             self.graph(),

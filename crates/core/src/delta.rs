@@ -963,16 +963,13 @@ impl DeltaStateGeometry {
     /// Materializes the batch-path bundle for this state: both geometries
     /// (cloned) plus an empty shared row cache. Feeding these to
     /// [`SndEngine::breakdown_with`] prices transitions exactly as the
-    /// batch path does. Live sketch bundles ride along (Arc-shared rows,
-    /// so the clone is `O(L)`), keeping the approximate tile path on
-    /// delta-repaired rows.
+    /// batch path does.
     pub fn bundle(&self, engine: &SndEngine<'_>) -> StateGeometry {
         StateGeometry::new(
             self.pos.geom.clone(),
             self.neg.geom.clone(),
             RowCache::new(engine.graph().node_count()),
         )
-        .with_sketches(self.pos.sketch.clone(), self.neg.sketch.clone())
     }
 
     /// The live landmark-sketch bundle of one opinion plane, when this

@@ -63,10 +63,6 @@ pub struct StateGeometry {
     pub(crate) neg: GroundGeometry,
     /// Shared row cache (one slot per `(opinion, direction, node)`).
     pub(crate) cache: RowCache,
-    /// Delta-repaired landmark rows per opinion plane (series/tile paths
-    /// only — `None` bundles fall back to cache-fetched landmark rows).
-    pub(crate) sketch_pos: Option<crate::delta::SketchRows>,
-    pub(crate) sketch_neg: Option<crate::delta::SketchRows>,
 }
 
 /// Live [`StateGeometry`] bundles right now — each holds O(n) geometry
@@ -81,25 +77,7 @@ impl StateGeometry {
         use std::sync::atomic::Ordering;
         let live = LIVE_BUNDLES.fetch_add(1, Ordering::Relaxed) + 1;
         PEAK_BUNDLES.fetch_max(live, Ordering::Relaxed);
-        StateGeometry {
-            pos,
-            neg,
-            cache,
-            sketch_pos: None,
-            sketch_neg: None,
-        }
-    }
-
-    /// Attaches delta-repaired landmark-row bundles (used by
-    /// [`DeltaStateGeometry::bundle`](crate::delta::DeltaStateGeometry)).
-    pub(crate) fn with_sketches(
-        mut self,
-        pos: Option<crate::delta::SketchRows>,
-        neg: Option<crate::delta::SketchRows>,
-    ) -> StateGeometry {
-        self.sketch_pos = pos;
-        self.sketch_neg = neg;
-        self
+        StateGeometry { pos, neg, cache }
     }
 
     /// Number of SSSP rows computed into this bundle's cache so far.
@@ -236,9 +214,9 @@ impl<'g> SndEngine<'g> {
         self.breakdown_with_geometry_seq(a, b, [&ga_pos, &ga_neg, &gb_pos, &gb_neg])
     }
 
-    /// Fully sequential
-    /// [`breakdown_with_geometry`](Self::breakdown_with_geometry).
-    pub fn breakdown_with_geometry_seq(
+    /// The four Eq. 3 terms, one after another, given precomputed
+    /// geometries `[D(a,+), D(a,−), D(b,+), D(b,−)]`.
+    fn breakdown_with_geometry_seq(
         &self,
         a: &NetworkState,
         b: &NetworkState,
@@ -282,25 +260,17 @@ impl<'g> SndEngine<'g> {
                 )
             },
         );
-        self.breakdown_with_geometry(a, b, [&ga_pos, &ga_neg, &gb_pos, &gb_neg])
+        self.terms(
+            a,
+            b,
+            [&ga_pos, &ga_neg, &gb_pos, &gb_neg],
+            [None, None, None, None],
+        )
     }
 
-    /// The four Eq. 3 terms given precomputed geometries
-    /// `[D(a,+), D(a,−), D(b,+), D(b,−)]` — the building block for series
-    /// evaluation where adjacent pairs share ground states. Terms are
-    /// computed concurrently (they are independent transportation solves).
-    pub fn breakdown_with_geometry(
-        &self,
-        a: &NetworkState,
-        b: &NetworkState,
-        geoms: [&GroundGeometry; 4],
-    ) -> SndBreakdown {
-        self.terms(a, b, geoms, [None, None, None, None])
-    }
-
-    /// [`breakdown_with_geometry`](Self::breakdown_with_geometry) drawing
-    /// SSSP rows from per-state bundles: `ga` must be `a`'s geometry and
-    /// `gb` must be `b`'s. Rows computed here stay in the bundles' caches
+    /// The four Eq. 3 terms drawing geometries and SSSP rows from
+    /// per-state bundles: `ga` must be `a`'s geometry and `gb` must be
+    /// `b`'s. Rows computed here stay in the bundles' caches
     /// for later comparisons sharing either ground state.
     pub fn breakdown_with(
         &self,
@@ -776,7 +746,7 @@ mod tests {
         let geoms = [&ga_pos, &ga_neg, &gb_pos, &gb_neg];
 
         let seq = engine.breakdown_with_geometry_seq(&a, &b, geoms);
-        let par = engine.breakdown_with_geometry(&a, &b, geoms);
+        let par = engine.terms(&a, &b, geoms, [None, None, None, None]);
         // Bit identity, not tolerance: the parallel fan-out must change
         // nothing about the arithmetic.
         assert_eq!(seq.total().to_bits(), par.total().to_bits());

@@ -41,10 +41,10 @@
 //! ([`snd_graph::repair_row`], Ramalingam–Reps style) rather than
 //! recomputed — clusters whose rows the repair leaves untouched reuse
 //! their previous inter-cluster row and γ verbatim — and identical
-//! consecutive states short-circuit to zero. The checkpoint-backed series
-//! path ([`SndEngine::series_tiles_checkpointed`], surfaced as
-//! `snd_analysis::resume::series_distances_checkpointed`) advances the
-//! same repairable bundles along the series.
+//! consecutive states short-circuit to zero. A checkpointed series is
+//! [`SndEngine::pairwise_tiles_checkpointed`] over
+//! [`ShardPlan::superdiagonal`]: the same values and checkpoint format as
+//! the full matrix, built from fresh per-state bundles.
 //!
 //! Every fast path is **exact** (shortest-path distances are the unique
 //! relaxation fixpoint, so repaired geometry is bit-identical to a
@@ -146,6 +146,6 @@ pub use ordered::{CandidateEvaluator, OrderedSnd};
 pub use shard::{
     auto_tile, interval_line, parse_interval_line, parse_tile_line, parse_timing_line,
     states_fingerprint, tile_line, timing_line, Checkpoint, ShardError, ShardPlan, TileGrid,
-    TileSet, DEFAULT_TILE,
+    TileSet,
 };
 pub use sparse::RowCache;

@@ -98,18 +98,11 @@ use std::ops::Range;
 use std::path::Path;
 
 use rayon::prelude::*;
-use snd_models::{NetworkState, StateDelta};
+use snd_models::NetworkState;
 
 use crate::approx::SndInterval;
 use crate::batch::DistanceMatrix;
-use crate::delta::DeltaStateGeometry;
 use crate::engine::{SndBreakdown, SndEngine, StateGeometry};
-
-/// Default tile edge (states per block): `8 × 8` tiles hold up to 64
-/// pairs — coarse enough that checkpoint appends are rare, fine enough
-/// that a killed run loses little work. Prefer [`auto_tile`], which sizes
-/// the tile from the workload instead.
-pub const DEFAULT_TILE: usize = 8;
 
 /// Picks a tile size from the workload shape — the first step of tile-size
 /// autotuning.
@@ -154,17 +147,6 @@ const MAGIC: &str = "SNDSHARD v1";
 /// feeds on.
 pub type OnTile<'a> =
     dyn FnMut(usize, &[f64], Option<&[(f64, f64)]>, f64) -> Result<(), ShardError> + 'a;
-
-/// How the tile loop builds the state geometries a tile needs that no
-/// earlier tile of the run left alive.
-#[derive(Clone, Copy)]
-enum Geometries {
-    /// A fresh [`StateGeometry`] per state, built in parallel.
-    Fresh,
-    /// One repairable delta bundle advanced along the states (the series
-    /// path, see [`crate::delta`]).
-    DeltaChain,
-}
 
 /// Errors from shard planning, checkpoint IO, and merging.
 #[derive(Debug)]
@@ -981,6 +963,11 @@ fn parse_header(line: &str) -> Option<(TileGrid, u64)> {
     if t.next().is_some() {
         return None;
     }
+    // A grid whose tile count or `k·k` matrix overflows `usize` cannot be
+    // indexed; refuse it here rather than panic in `to_matrix`.
+    let blocks = k.div_ceil(tile);
+    blocks.checked_add(1)?.checked_mul(blocks)?;
+    k.checked_mul(k)?;
     Some((TileGrid::new(k, tile), fingerprint))
 }
 
@@ -1132,9 +1119,8 @@ impl<'g> SndEngine<'g> {
     /// `on_tile` sees each finished tile (ID, values, optional certified
     /// intervals, compute wall seconds) *before* it is recorded in the
     /// returned set, in ascending tile-ID order. This is the streaming
-    /// entry point — an orchestrated worker serializes each tile onto its
-    /// socket from here, overlapping the send with the next tile's
-    /// compute. An error from the hook aborts the run.
+    /// entry point — an orchestrated worker writes each tile to its
+    /// socket from here. An error from the hook aborts the run.
     pub fn pairwise_tiles_with(
         &self,
         states: &[NetworkState],
@@ -1142,7 +1128,7 @@ impl<'g> SndEngine<'g> {
         on_tile: &mut OnTile<'_>,
     ) -> Result<TileSet, ShardError> {
         let mut set = TileSet::empty(*plan.grid(), self.shard_fingerprint(states));
-        self.compute_plan_tiles(states, plan, &mut set, on_tile, Geometries::Fresh)?;
+        self.compute_plan_tiles(states, plan, &mut set, on_tile)?;
         Ok(set)
     }
 
@@ -1157,21 +1143,6 @@ impl<'g> SndEngine<'g> {
         plan: &ShardPlan,
         path: &Path,
     ) -> Result<ShardRun, ShardError> {
-        self.run_checkpointed(states, plan, path, Geometries::Fresh)
-    }
-
-    /// The shared checkpointed-run skeleton: open/validate/resume the
-    /// checkpoint, hand the missing tiles to the tile loop with the
-    /// append-and-flush hook, and account for the run. Both the batch
-    /// tile path and the delta series path go through here, so the
-    /// checkpoint handling can never diverge between them.
-    fn run_checkpointed(
-        &self,
-        states: &[NetworkState],
-        plan: &ShardPlan,
-        path: &Path,
-        build: Geometries,
-    ) -> Result<ShardRun, ShardError> {
         let (mut set, mut ckpt) =
             Checkpoint::open(path, *plan.grid(), self.shard_fingerprint(states))?;
         let resumed = plan
@@ -1179,13 +1150,9 @@ impl<'g> SndEngine<'g> {
             .iter()
             .filter(|id| set.contains(**id))
             .count();
-        self.compute_plan_tiles(
-            states,
-            plan,
-            &mut set,
-            &mut |id, values, ivs, secs| ckpt.append(id, values, ivs, Some(secs)),
-            build,
-        )?;
+        self.compute_plan_tiles(states, plan, &mut set, &mut |id, values, ivs, secs| {
+            ckpt.append(id, values, ivs, Some(secs))
+        })?;
         Ok(ShardRun {
             tiles: set.restrict(plan.tile_ids()),
             resumed,
@@ -1193,18 +1160,15 @@ impl<'g> SndEngine<'g> {
         })
     }
 
-    /// Computes the plan's tiles missing from `set`, invoking `on_tile`
-    /// (the checkpoint append hook) before recording each one. Tiles are
-    /// visited in ascending ID order, which for a superdiagonal plan walks
-    /// the states monotonically — what lets [`Geometries::DeltaChain`]
-    /// advance one transition at a time.
+    /// Computes the plan's tiles missing from `set` in ascending ID order,
+    /// invoking `on_tile` (the checkpoint append or socket hook) before
+    /// recording each one.
     fn compute_plan_tiles(
         &self,
         states: &[NetworkState],
         plan: &ShardPlan,
         set: &mut TileSet,
         on_tile: &mut OnTile<'_>,
-        build: Geometries,
     ) -> Result<(), ShardError> {
         let grid = plan.grid();
         assert_eq!(
@@ -1243,9 +1207,6 @@ impl<'g> SndEngine<'g> {
         }
 
         let mut geoms: Vec<Option<StateGeometry>> = (0..states.len()).map(|_| None).collect();
-        // The delta chain: the most recently materialized state's
-        // repairable geometry (unused by fresh builds).
-        let mut chain: Option<(usize, DeltaStateGeometry)> = None;
         // Per-tile wall clock for the `W` checkpoint lines: geometry
         // materialization counts against the tile that triggered it —
         // that is the true cost of scheduling the tile, which is what an
@@ -1257,42 +1218,12 @@ impl<'g> SndEngine<'g> {
                 .copied()
                 .filter(|&s| geoms[s].is_none())
                 .collect();
-            match build {
-                Geometries::Fresh => {
-                    let computed: Vec<(usize, StateGeometry)> = needed
-                        .par_iter()
-                        .map(|&s| (s, self.state_geometry(&states[s])))
-                        .collect();
-                    for (s, g) in computed {
-                        geoms[s] = Some(g);
-                    }
-                }
-                // Advancing the chain one transition costs the touched-edge
-                // sweep plus row repair; a gap longer than two blocks
-                // (resumed tiles) is cheaper to cross with a fresh build.
-                Geometries::DeltaChain => {
-                    for &s in &needed {
-                        let cache = match chain.take() {
-                            Some((at, mut cache)) if at < s && s - at <= 2 * grid.tile_size() => {
-                                for k in at + 1..=s {
-                                    let delta = StateDelta::between(
-                                        self.graph(),
-                                        &states[k - 1],
-                                        &states[k],
-                                    );
-                                    if !delta.is_empty() {
-                                        cache = cache.step(self, &states[k], &delta);
-                                    }
-                                }
-                                cache
-                            }
-                            Some((at, cache)) if at == s => cache,
-                            _ => DeltaStateGeometry::fresh(self, &states[s]),
-                        };
-                        geoms[s] = Some(cache.bundle(self));
-                        chain = Some((s, cache));
-                    }
-                }
+            let computed: Vec<(usize, StateGeometry)> = needed
+                .par_iter()
+                .map(|&s| (s, self.state_geometry(&states[s])))
+                .collect();
+            for (s, g) in computed {
+                geoms[s] = Some(g);
             }
 
             let pairs = grid.pairs(id);
@@ -1335,28 +1266,6 @@ impl<'g> SndEngine<'g> {
             mark = std::time::Instant::now();
         }
         Ok(())
-    }
-
-    /// Checkpoint-backed **series** run through the delta path: computes
-    /// (or resumes) exactly the superdiagonal tiles, building each
-    /// state's geometry bundle by *advancing* the previous state's bundle
-    /// through their [`StateDelta`](snd_models::StateDelta) — touched-edge
-    /// cost rederivation plus SSSP row repair (see [`crate::delta`]) —
-    /// instead of rebuilding it from scratch. Tile values, the checkpoint
-    /// format, and the fingerprint are bit-identical to
-    /// [`pairwise_tiles_checkpointed`](Self::pairwise_tiles_checkpointed)
-    /// over [`ShardPlan::superdiagonal`]; checkpoints written by either
-    /// path resume under the other, and a later full-matrix run reuses
-    /// the series tiles.
-    pub fn series_tiles_checkpointed(
-        &self,
-        states: &[NetworkState],
-        tile: usize,
-        path: &Path,
-    ) -> Result<ShardRun, ShardError> {
-        let grid = TileGrid::new(states.len(), tile);
-        let plan = ShardPlan::superdiagonal(grid);
-        self.run_checkpointed(states, &plan, path, Geometries::DeltaChain)
     }
 }
 
@@ -1562,6 +1471,18 @@ mod tests {
     }
 
     #[test]
+    fn headers_whose_grid_overflows_are_format_errors() {
+        let path =
+            std::env::temp_dir().join(format!("snd_shard_overflow_{}.ckpt", std::process::id()));
+        // k = 2⁶⁴ − 1: both the tile count and `k·k` overflow a 64-bit
+        // usize. Such a file used to load, then `to_matrix` panicked.
+        let header = "SNDSHARD v1\nk 18446744073709551615 tile 1 fingerprint 0000000000000000\n";
+        std::fs::write(&path, header).unwrap();
+        assert!(matches!(TileSet::load(&path), Err(ShardError::Format(_))));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn fingerprint_binds_states_graph_and_config() {
         let g = path_graph(8);
         let engine = SndEngine::new(&g, SndConfig::default());
@@ -1627,6 +1548,12 @@ mod tests {
         // The checkpoint file round-trips the intervals bit-exactly.
         let loaded = TileSet::load(&path).unwrap();
         assert_eq!(loaded, set);
+        // A rerun resumes every tile, certification included.
+        let rerun = engine
+            .pairwise_tiles_checkpointed(&s, &ShardPlan::full(grid), &path)
+            .unwrap();
+        assert_eq!((rerun.resumed, rerun.computed), (grid.tile_count(), 0));
+        assert_eq!(rerun.tiles, set);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1661,6 +1588,12 @@ mod tests {
         let merged = TileSet::merge([old_set, new_set.clone()]).unwrap();
         assert_eq!(merged, new_set);
         assert!(merged.pair_interval(0, 1).is_some());
+        // An old-format checkpoint also resumes without recomputation.
+        let run = engine
+            .pairwise_tiles_checkpointed(&s, &ShardPlan::full(grid), &path)
+            .unwrap();
+        assert_eq!(run.computed, 0);
+        assert_eq!(run.tiles.tiles, new_set.tiles);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1795,6 +1728,13 @@ mod tests {
         ));
         assert!(matches!(
             Checkpoint::open(&path, TileGrid::new(4, 3), fp),
+            Err(ShardError::Mismatch(_))
+        ));
+        // So does a run over a different snapshot set of the same size.
+        let mut other = s.clone();
+        other[0] = NetworkState::from_values(&[-1; 8]);
+        assert!(matches!(
+            engine.pairwise_tiles_checkpointed(&other, &ShardPlan::full(grid), &path),
             Err(ShardError::Mismatch(_))
         ));
         std::fs::remove_file(&path).unwrap();

@@ -16,9 +16,8 @@
 //!   bit-identical to `pairwise_distances_seq` regardless of worker
 //!   count, kill/restart timing, or duplicate results.
 //! * **[`run_worker`]** connects to a coordinator, validates the dataset
-//!   fingerprint, and streams each finished tile back while the next one
-//!   computes (the socket drain overlaps the engine's compute; an
-//!   end-of-lease blocking flush settles the remainder).
+//!   fingerprint, and writes each finished tile back before computing the
+//!   next.
 //! * **[`Autotuner`]** replaces the static `auto_tile` shape heuristic
 //!   for orchestrated runs: observed per-tile wall times (persisted as
 //!   `W` checkpoint lines, so reruns warm-start) drive lease composition

@@ -1,14 +1,9 @@
 //! The worker loop: handshake, lease, compute, stream, repeat.
 //!
-//! Results are streamed with a double-buffered writer: each finished
-//! tile's `T`/`I`/`W` lines go into an output buffer which is drained
-//! *nonblocking* while the engine computes the next tile — the kernel's
-//! socket buffer does the sending, so tile *k*'s flush overlaps tile
-//! *k+1*'s compute with no second thread. Whatever the drain could not
-//! place is settled by one blocking flush at lease end; the time spent
-//! there is the `flush_wait_s` the bench ablation measures (with
-//! `overlap: false` every tile is flushed blocking, which is the
-//! ablation baseline).
+//! Each finished tile's `T`/`I`/`W` lines are written to the socket with
+//! a blocking write before the next tile starts. A tile's lines are small
+//! next to the kernel's socket buffer, so the write rarely waits; the
+//! time spent in it is reported as `flush_wait_s`.
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -25,9 +20,6 @@ use crate::OrchestrateError;
 /// Worker tuning knobs.
 #[derive(Clone, Debug)]
 pub struct WorkerOpts {
-    /// Overlap result streaming with compute (the double-buffered
-    /// writer). `false` flushes each tile blocking — the bench ablation.
-    pub overlap: bool,
     /// How long to retry the initial connect (workers usually start
     /// before the coordinator binds).
     pub connect_retry: Duration,
@@ -43,7 +35,6 @@ pub struct WorkerOpts {
 impl Default for WorkerOpts {
     fn default() -> Self {
         WorkerOpts {
-            overlap: true,
             connect_retry: Duration::from_secs(10),
             read_timeout: Duration::from_secs(120),
             throttle: Duration::ZERO,
@@ -60,7 +51,7 @@ pub struct WorkerReport {
     pub tiles: usize,
     /// Seconds inside the engine's tile computation.
     pub compute_s: f64,
-    /// Seconds blocked flushing results (what overlap eliminates).
+    /// Seconds blocked writing results to the socket.
     pub flush_wait_s: f64,
 }
 
@@ -151,8 +142,7 @@ fn compute_lease(
     report: &mut WorkerReport,
 ) -> Result<(), OrchestrateError> {
     let plan = ShardPlan::explicit(*grid, tiles)?;
-    let mut outbuf: Vec<u8> = Vec::new();
-    let mut io_err: Option<std::io::Error> = None;
+    let mut send_err: Option<OrchestrateError> = None;
     let flush_before = report.flush_wait_s;
     let compute_started = Instant::now();
     let result = engine.pairwise_tiles_with(states, &plan, &mut |id, values, ivs, secs| {
@@ -166,79 +156,23 @@ fn compute_lease(
             snd_core::interval_line(&mut lines, id, ivs);
         }
         snd_core::timing_line(&mut lines, id, secs + opts.throttle.as_secs_f64());
-        outbuf.extend_from_slice(lines.as_bytes());
         report.tiles += 1;
-        let drained = if opts.overlap {
-            // Double-buffered: push what fits into the kernel's socket
-            // buffer and return to computing; the remainder rides along
-            // with the next tile or the end-of-lease flush.
-            drain_nonblocking(stream, &mut outbuf)
-        } else {
-            // Ablation baseline: settle every tile before computing on.
-            let t0 = Instant::now();
-            let r = drain_blocking(stream, &mut outbuf);
-            report.flush_wait_s += t0.elapsed().as_secs_f64();
-            r
-        };
-        if let Err(e) = drained {
-            io_err = Some(e);
+        let t0 = Instant::now();
+        let sent = send_all(stream, lines.as_bytes());
+        report.flush_wait_s += t0.elapsed().as_secs_f64();
+        if let Err(e) = sent {
+            send_err = Some(e);
             // Any shard error aborts the engine loop; the real cause is
             // restored below.
             return Err(snd_core::ShardError::Format("socket write failed".into()));
         }
         Ok(())
     });
-    match result {
-        Ok(_) => {}
-        Err(e) => {
-            return Err(match io_err {
-                Some(io) => OrchestrateError::Io(io),
-                None => e.into(),
-            })
-        }
+    if let Err(e) = result {
+        return Err(send_err.unwrap_or_else(|| e.into()));
     }
-    // End-of-lease settlement: everything the overlapped drain couldn't
-    // place goes out now, blocking. With overlap this is usually empty.
-    let t0 = Instant::now();
-    drain_blocking(stream, &mut outbuf)?;
-    report.flush_wait_s += t0.elapsed().as_secs_f64();
     let lease_flush = report.flush_wait_s - flush_before;
     report.compute_s += (compute_started.elapsed().as_secs_f64() - lease_flush).max(0.0);
-    Ok(())
-}
-
-/// Nonblocking drain: writes what the socket accepts, keeps the rest.
-fn drain_nonblocking(stream: &mut Stream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    stream.set_nonblocking(true)?;
-    loop {
-        if buf.is_empty() {
-            break;
-        }
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "coordinator closed the connection",
-                ))
-            }
-            Ok(n) => {
-                buf.drain(..n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.set_nonblocking(false)?;
-    Ok(())
-}
-
-/// Blocking drain: settles the whole buffer.
-fn drain_blocking(stream: &mut Stream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.write_all(buf)?;
-    buf.clear();
-    stream.flush()?;
     Ok(())
 }
 

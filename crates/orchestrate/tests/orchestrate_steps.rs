@@ -496,7 +496,6 @@ fn real_worker_loop_completes_against_a_live_coordinator() {
             &s,
             &addr,
             &WorkerOpts {
-                overlap: true,
                 connect_retry: Duration::from_secs(5),
                 read_timeout: Duration::from_secs(30),
                 throttle: Duration::ZERO,

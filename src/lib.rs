@@ -124,8 +124,9 @@
 //! partial artifacts into the full matrix with overlap/hole validation —
 //! bit-identical to the sequential loop (`tests/shard_matrix.rs`). The
 //! `snd shard` CLI subcommand drives the same workflow from the command
-//! line, and [`analysis::resume`] offers checkpoint-backed
-//! pairwise/series entry points.
+//! line. A checkpointed series is the same call over
+//! [`ShardPlan::superdiagonal`](core::ShardPlan::superdiagonal), the
+//! tiles holding the adjacent transitions.
 //!
 //! For multi-process runs, [`orchestrate`] turns the same tile grid into
 //! a coordinator/worker system: `snd orchestrate` owns the grid and
@@ -135,7 +136,7 @@
 //! per-tile `W` timings drive a measurement-based lease autotuner. The
 //! merged matrix stays bit-identical to the sequential loop regardless
 //! of worker count or failure timing (`BENCH_orchestrate.json` records
-//! the worker-count curve and streaming-overlap ablation).
+//! the worker-count curve).
 //!
 //! ## Threading model
 //!

@@ -2,21 +2,43 @@
 //! scenario and every bank mode, `SndEngine::series_distances` (the
 //! incremental path — touched-edge cost rederivation, SSSP row repair,
 //! empty-delta short-circuit, high-churn fallback) is **bit-identical**
-//! to the sequential reference `series_distances_seq` — including runs
-//! killed and resumed through
-//! `analysis::resume::series_distances_checkpointed`.
+//! to the sequential reference `series_distances_seq` — and so is a
+//! checkpointed series (`pairwise_tiles_checkpointed` over
+//! `ShardPlan::superdiagonal`), including runs killed and resumed.
+
+use std::path::Path;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use snd::analysis::resume::series_distances_checkpointed;
-use snd::core::{ClusterSpec, GammaPolicy, SndConfig, SndEngine};
+use snd::core::{ClusterSpec, GammaPolicy, ShardPlan, SndConfig, SndEngine, TileGrid};
 use snd::data::registry;
 use snd::graph::generators::barabasi_albert;
 use snd::models::{NetworkState, Opinion, StateDelta};
 
 fn temp_path(name: &str, seed: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("snd_delta_{}_{seed}_{name}", std::process::id()))
+}
+
+/// Adjacent-transition distances through a checkpoint: the superdiagonal
+/// tiles of a `tile`-wide grid, computed or resumed from `path`.
+fn checkpointed_series(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
+    tile: usize,
+    path: &Path,
+) -> Vec<f64> {
+    let plan = ShardPlan::superdiagonal(TileGrid::new(states.len(), tile));
+    let run = engine
+        .pairwise_tiles_checkpointed(states, &plan, path)
+        .unwrap();
+    (1..states.len())
+        .map(|t| {
+            run.tiles
+                .pair(t - 1, t)
+                .expect("superdiagonal tile present")
+        })
+        .collect()
 }
 
 /// The two bank modes the delta path specializes: per-bin (default; no
@@ -53,10 +75,9 @@ fn delta_series_matches_seq_on_every_registry_scenario() {
     }
 }
 
-/// The checkpointed series path — which routes through the delta-advanced
-/// tile computation — reproduces the reference after a simulated kill
+/// A checkpointed series reproduces the reference after a simulated kill
 /// (checkpoint truncated mid-line) and resume, and its tiles feed a later
-/// full-matrix run.
+/// full-matrix run over the same file.
 #[test]
 fn killed_and_resumed_checkpoint_series_is_bit_identical() {
     let mut scenario = registry().into_iter().next().expect("non-empty registry");
@@ -68,7 +89,7 @@ fn killed_and_resumed_checkpoint_series_is_bit_identical() {
 
     let path = temp_path("series_resume.ckpt", 5);
     let _ = std::fs::remove_file(&path);
-    let first = series_distances_checkpointed(&engine, &series.states, 3, &path).unwrap();
+    let first = checkpointed_series(&engine, &series.states, 3, &path);
     assert_eq!(first, expect, "fresh checkpointed run");
 
     // Kill: chop trailing bytes (never into the 2-line header).
@@ -87,14 +108,19 @@ fn killed_and_resumed_checkpoint_series_is_bit_identical() {
     .unwrap();
 
     // Resume reproduces the same values bit for bit.
-    let resumed = series_distances_checkpointed(&engine, &series.states, 3, &path).unwrap();
+    let resumed = checkpointed_series(&engine, &series.states, 3, &path);
     assert_eq!(resumed, expect, "resumed run");
 
     // The series checkpoint seeds the full-matrix run over the same file.
-    let matrix =
-        snd::analysis::resume::pairwise_distances_checkpointed(&engine, &series.states, 3, &path)
-            .unwrap();
-    assert_eq!(matrix, engine.pairwise_distances_seq(&series.states));
+    let full = ShardPlan::full(TileGrid::new(series.states.len(), 3));
+    let run = engine
+        .pairwise_tiles_checkpointed(&series.states, &full, &path)
+        .unwrap();
+    assert!(run.resumed > 0, "the series tiles are reused");
+    assert_eq!(
+        run.tiles.to_matrix().unwrap(),
+        engine.pairwise_distances_seq(&series.states)
+    );
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -122,7 +148,7 @@ fn empty_delta_short_circuit_is_exact_in_every_path() {
 
         let path = temp_path("empty_delta.ckpt", 3);
         let _ = std::fs::remove_file(&path);
-        let ckpt = series_distances_checkpointed(&engine, &states, 2, &path).unwrap();
+        let ckpt = checkpointed_series(&engine, &states, 2, &path);
         assert_eq!(ckpt, seq);
         std::fs::remove_file(&path).unwrap();
     }
