@@ -202,7 +202,8 @@ fn bench_scale_approx(c: &mut Criterion) {
         let (a, b) = if trial == 0 {
             (err_inst.a.clone(), err_inst.b.clone())
         } else {
-            state_pair(error_nodes, n_delta, &mut rng)
+            // The grid rounds `error_nodes` to a square side.
+            state_pair(err_inst.graph.node_count(), n_delta, &mut rng)
         };
         let exact = exact_engine.distance(&a, &b);
         let iv = approx_engine.distance_interval(&a, &b).unwrap();

@@ -5,10 +5,11 @@
 //! for: a ~10⁵-node graph whose snapshots differ by a few hundred
 //! balanced flips around one cascade epicenter.
 //! `SndEngine::series_intervals` advances a single sketch bundle through
-//! each transition (landmark rows repaired through the touched edges,
-//! landmarks adapted from term feedback). A subsampled instance small
-//! enough to price exactly checks that its intervals still bracket the
-//! exact SND.
+//! each transition (landmark rows repaired through the touched edges, the
+//! repair budget steered by term feedback). The mean relative width of
+//! the timed series' intervals is recorded beside the time. A subsampled
+//! instance small enough to price exactly checks that its intervals
+//! still bracket the exact SND.
 //!
 //! Results are spliced into `BENCH_scale.json` (repo root) as the
 //! `"series"` member, preserving the `scale_approx` ladder around it.
@@ -200,10 +201,20 @@ fn bench_scale_series(c: &mut Criterion) {
         .sample_size(2)
         .warmup_time(Duration::from_millis(1))
         .measurement_time(Duration::from_secs(1));
+    let mut intervals = Vec::new();
     group.bench_function("delta", |b| {
-        b.iter(|| engine.series_intervals(&states).unwrap())
+        b.iter(|| intervals = engine.series_intervals(&states).unwrap())
     });
     group.finish();
+    // Mean of `width / upper` over the transitions with a positive upper
+    // bound.
+    let rel: Vec<f64> = intervals
+        .iter()
+        .filter(|iv| iv.upper > 0.0)
+        .map(|iv| iv.width() / iv.upper)
+        .collect();
+    let mean_rel_width = rel.iter().sum::<f64>() / rel.len().max(1) as f64;
+    println!("scale_series: mean relative interval width {mean_rel_width:.5}");
 
     // Certification spot-check on an instance small enough to price
     // exactly: delta-path intervals must bracket the exact series.
@@ -231,6 +242,7 @@ fn bench_scale_series(c: &mut Criterion) {
         n_delta,
         epsilon,
         landmarks,
+        mean_rel_width,
         check_nodes,
         bracketed,
     );
@@ -246,6 +258,7 @@ fn write_history(
     n_delta: usize,
     epsilon: f64,
     landmarks: usize,
+    mean_rel_width: f64,
     check_nodes: usize,
     bracketed: bool,
 ) {
@@ -264,6 +277,7 @@ fn write_history(
          \"snapshots\": {snapshots}, \"n_delta_per_step\": {n_delta}, \
          \"epsilon\": {epsilon}, \"landmarks\": {landmarks}, \
          \"threads\": {threads}, \"delta_s\": {delta_s:.4}, \
+         \"mean_rel_width\": {mean_rel_width:.5}, \
          \"bracket_check_nodes\": {check_nodes}, \
          \"intervals_bracket_exact\": {bracketed}}}",
         kind = graph_kind(),

@@ -27,9 +27,10 @@
 //!    is monotone in the cost matrix).
 //! 3. **Progressive refinement** — while the interval is wider than the
 //!    caller's ε, a batch of the worst boundary clusters (largest
-//!    `cell gap × flow` over both optimal plans) is split and the
-//!    quotient re-priced; cell bounds are maintained incrementally, so a
-//!    round costs two coarse solves plus only the split groups' cells.
+//!    `cell gap × flow` over both optimal plans) is split into positional
+//!    halves and the quotient re-priced; cell bounds are maintained
+//!    incrementally, so a round costs two coarse solves plus only the
+//!    split groups' cells.
 //!    Row groups refined down to singletons escalate to *bounded-radius
 //!    SSSP balls* ([`snd_graph::dial_bounded_scratch`]): the ball prices
 //!    the row's nearby consumers exactly and its radius floors everything
@@ -46,13 +47,12 @@
 //! The tier supports the default [`ClusterSpec::PerBin`] bank mode only;
 //! cluster-bank modes report [`ApproxError::UnsupportedBankMode`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use snd_graph::{
-    bfs_partition, quotient_graph, select_landmarks, Clustering, CsrGraph, GroupAggregate,
-    LandmarkSketch, NodeId,
+    bfs_partition, select_landmarks, Clustering, CsrGraph, GroupAggregate, LandmarkSketch, NodeId,
 };
 use snd_models::{NetworkState, Opinion};
 use snd_transport::{solve_balanced, DenseCost, Mass, TransportPlan};
@@ -88,9 +88,10 @@ pub struct ApproxConfig {
     /// ([`distance_interval`](crate::SndEngine::distance_interval)) ignore
     /// this and always run the approximate machinery.
     ///
-    /// The default is the measured `BENCH_scale.json` crossover: below
-    /// 5·10⁴ nodes the sketch tier runs at 0.84–0.90× of exact, at the
-    /// crossover and above it wins (2.9× at 5·10⁴, 5.1× at 10⁵).
+    /// The default is the measured `BENCH_scale.json` crossover (2
+    /// threads): below 5·10⁴ nodes the sketch tier runs at 0.74–0.82× of
+    /// exact, at the crossover and above it wins (2.0× at 5·10⁴, 3.6× at
+    /// 10⁵).
     pub min_nodes: usize,
 }
 
@@ -178,25 +179,10 @@ impl SndInterval {
     }
 }
 
-/// Initial quotient granularity: residual users are contracted into at
-/// most this many topology communities before refinement, regardless of
-/// graph size — the envelope transportation solves stay bounded even at
-/// n ≥ 10⁷ because seeding always happens on the coarsest level.
+/// Quotient granularity: residual users are contracted into at most this
+/// many topology communities before refinement, regardless of graph size,
+/// so the envelope transportation solves start bounded at any `n`.
 const QUOTIENT_CLUSTERS: usize = 64;
-
-/// Branching factor between adjacent quotient levels: each coarse cluster
-/// is the union of about this many clusters of the next finer level, so a
-/// refinement split replaces one group by a bounded handful of children.
-const QUOTIENT_FANOUT: usize = 8;
-
-/// Target member count of the finest level's clusters. Depth grows (up to
-/// [`MAX_QUOTIENT_LEVELS`]) until the expected finest cluster size drops
-/// to this, so splits stay topology-aware almost down to singletons.
-const QUOTIENT_LEAF: usize = 256;
-
-/// Hierarchy depth cap: 64·8⁵ ≈ 2·10⁶ finest clusters cover n ≈ 5·10⁸ at
-/// [`QUOTIENT_LEAF`] granularity — beyond any graph this engine prices.
-const MAX_QUOTIENT_LEVELS: usize = 6;
 
 /// First-ball stop budget for bounded row materialization, as a multiple
 /// of the row's own mass: the ball grows until it has settled this much
@@ -211,75 +197,23 @@ const BALL_CAPACITY_FACTOR: u64 = 8;
 const SINGLETON_INIT_MAX: usize = 1024;
 
 /// Topology-only sketch context, computed once per engine: the landmark
-/// node set and the recursive quotient hierarchy. Distance rows are per
+/// node set and the seeding quotient partition. Distance rows are per
 /// ground state and live in that state's [`RowCache`] (or ride a
 /// delta-repaired [`SketchRows`] bundle on the series path).
 #[derive(Debug)]
 pub(crate) struct ApproxCtx {
     pub(crate) landmarks: Vec<NodeId>,
-    /// Nested quotient hierarchy, coarsest first: every cluster of
-    /// `levels[d]` is a union of clusters of `levels[d + 1]` (built by
-    /// [`bfs_partition`] on the [`quotient_graph`] of the finer level and
-    /// composing labels). Seeding contracts by `levels[0]`; refinement
-    /// splits descend the hierarchy before falling back to positional
-    /// halves past the finest level.
-    pub(crate) levels: Vec<Clustering>,
-}
-
-impl ApproxCtx {
-    /// The coarsest level — the seeding quotient.
-    pub(crate) fn quotient(&self) -> &Clustering {
-        &self.levels[0]
-    }
+    /// [`bfs_partition`] into [`QUOTIENT_CLUSTERS`] clusters: seeding
+    /// contracts each residual side by it, and refinement splits groups
+    /// into positional halves.
+    pub(crate) quotient: Clustering,
 }
 
 pub(crate) fn build_ctx(g: &CsrGraph, approx: &ApproxConfig) -> ApproxCtx {
     ApproxCtx {
         landmarks: select_landmarks(g, approx.max_landmarks.max(1)),
-        levels: build_levels(g),
+        quotient: bfs_partition(g, QUOTIENT_CLUSTERS.min(g.node_count().max(1))),
     }
-}
-
-/// Builds the nested quotient hierarchy: a finest [`bfs_partition`] sized
-/// by [`QUOTIENT_LEAF`], then repeated [`quotient_graph`] + coarsening
-/// with composed labels until the top level fits [`QUOTIENT_CLUSTERS`].
-fn build_levels(g: &CsrGraph) -> Vec<Clustering> {
-    let n = g.node_count().max(1);
-    let mut fine = QUOTIENT_CLUSTERS;
-    let mut depth = 1;
-    while n.div_ceil(fine) > QUOTIENT_LEAF && depth < MAX_QUOTIENT_LEVELS {
-        fine *= QUOTIENT_FANOUT;
-        depth += 1;
-    }
-    let mut levels = vec![bfs_partition(g, fine.min(n))];
-    loop {
-        let composed = {
-            let finer = &levels[levels.len() - 1];
-            if finer.cluster_count() <= QUOTIENT_CLUSTERS {
-                break;
-            }
-            let q = quotient_graph(g, finer);
-            let target = (finer.cluster_count() / QUOTIENT_FANOUT).max(QUOTIENT_CLUSTERS);
-            let coarse_of = bfs_partition(&q, target);
-            let labels: Vec<u32> = finer
-                .labels
-                .iter()
-                .map(|&l| coarse_of.labels[l as usize])
-                .collect();
-            let c = Clustering::from_labels(&labels);
-            if c.cluster_count() >= finer.cluster_count() {
-                // A heavily disconnected quotient can refuse to contract
-                // (bfs_partition may exceed its target by one cluster per
-                // component); keep the certified machinery with a shallower
-                // hierarchy rather than loop.
-                break;
-            }
-            c
-        };
-        levels.push(composed);
-    }
-    levels.reverse();
-    levels
 }
 
 /// Returns the bank-mode name for [`ApproxError::UnsupportedBankMode`],
@@ -475,30 +409,15 @@ pub(crate) fn emit_trace_summary(context: &str) {
     );
 }
 
-/// Adaptive-placement feedback out of one term: representatives of the
-/// worst `gap × flow` cells at convergence (hot spots the sketch should
-/// cover next) plus per-landmark usefulness credit (was the landmark the
-/// binding envelope of a hot cell). Indices in `landmark_useful` follow
-/// the landmark order the term was priced with.
-pub(crate) struct TermFeedback {
-    pub(crate) hot_nodes: Vec<NodeId>,
-    pub(crate) landmark_useful: Vec<bool>,
-}
-
-impl TermFeedback {
-    fn empty() -> TermFeedback {
-        TermFeedback {
-            hot_nodes: Vec::new(),
-            landmark_useful: Vec::new(),
-        }
-    }
-}
-
-/// One priced term: the certified interval plus adaptive feedback.
+/// One priced term: the certified interval plus per-landmark usefulness
+/// credit (was the landmark the binding envelope of a hot `gap × flow`
+/// cell at convergence), which steers the series path's repair budget.
+/// Indices in `landmark_useful` follow the landmark order the term was
+/// priced with.
 pub(crate) struct TermOutcome {
     pub(crate) lower: f64,
     pub(crate) upper: f64,
-    pub(crate) feedback: TermFeedback,
+    pub(crate) landmark_useful: Vec<bool>,
 }
 
 impl TermOutcome {
@@ -506,12 +425,12 @@ impl TermOutcome {
         TermOutcome {
             lower: v,
             upper: v,
-            feedback: TermFeedback::empty(),
+            landmark_useful: Vec::new(),
         }
     }
 }
 
-/// How many of the worst cells feed [`TermFeedback`].
+/// How many of the worst cells earn their landmarks usefulness credit.
 const FEEDBACK_CELLS: usize = 8;
 
 /// How precisely a (singleton) row group's ground distances are known.
@@ -547,10 +466,6 @@ struct Group<'c> {
     gamma: u32,
     agg: GroupAggregate,
     dists: RowDists<'c>,
-    /// Quotient-hierarchy level this group is a (subset of a) cluster of;
-    /// `levels.len()` means "finer than the finest level" — further
-    /// splits fall back to positional halves.
-    level: usize,
 }
 
 impl<'c> Group<'c> {
@@ -648,7 +563,7 @@ pub(crate) fn emd_star_term_interval<'c>(
     // Tiny reduced problems: exact rows cost fewer SSSPs than the sketch
     // would — answer exactly (zero-width interval). The threshold follows
     // the landmark set that would actually price this term (the bundle's
-    // live adapted set when present).
+    // live pairs when present).
     let n_landmarks = sketch_rows
         .map_or(ctx.landmarks.len(), SketchRows::live_count)
         .max(1);
@@ -701,8 +616,7 @@ pub(crate) fn emd_star_term_interval<'c>(
             cache.get_or_compute(g, geom, op, reverse, node)
         })
     };
-    let finest = ctx.levels.len();
-    let make_group = |members: Vec<NodeId>, masses: Vec<Mass>, gamma: u32, level: usize| {
+    let make_group = |members: Vec<NodeId>, masses: Vec<Mass>, gamma: u32| {
         debug_assert_eq!(members.len(), masses.len());
         Group {
             agg: sketch.aggregate(&members),
@@ -710,16 +624,15 @@ pub(crate) fn emd_star_term_interval<'c>(
             masses,
             gamma,
             dists: RowDists::Sketch,
-            level,
         }
     };
 
-    // Opinion-community coarsening: contract each side by the coarsest
-    // quotient level (bank bins grouped separately — their γ offset
-    // differs). The solve dimensions start bounded by the level's cluster
-    // count no matter how large the graph is.
+    // Opinion-community coarsening: contract each side by the quotient
+    // (bank bins grouped separately — their γ offset differs). The solve
+    // dimensions start bounded by its cluster count no matter how large
+    // the graph is.
     let partition = |items: &[NodeId], masses: Option<&[Mass]>| -> Vec<(Vec<NodeId>, Vec<Mass>)> {
-        let quotient = ctx.quotient();
+        let quotient = &ctx.quotient;
         let nc = quotient.cluster_count();
         let mut buckets: Vec<(Vec<NodeId>, Vec<Mass>)> = vec![(Vec::new(), Vec::new()); nc];
         for (i, &v) in items.iter().enumerate() {
@@ -738,12 +651,12 @@ pub(crate) fn emd_star_term_interval<'c>(
         if nodes.len() <= SINGLETON_INIT_MAX {
             nodes
                 .iter()
-                .map(|&v| make_group(vec![v], vec![scale], 0, finest))
+                .map(|&v| make_group(vec![v], vec![scale], 0))
                 .collect()
         } else {
             partition(nodes, None)
                 .into_iter()
-                .map(|(m, ms)| make_group(m, ms, 0, 0))
+                .map(|(m, ms)| make_group(m, ms, 0))
                 .collect()
         }
     };
@@ -752,7 +665,7 @@ pub(crate) fn emd_star_term_interval<'c>(
     cols.extend(
         partition(&bank_bins, Some(&bank_caps))
             .into_iter()
-            .map(|(m, ms)| make_group(m, ms, config.per_bin_gamma, 0)),
+            .map(|(m, ms)| make_group(m, ms, config.per_bin_gamma)),
     );
 
     // Column-member table for bounded materialization: every node a row
@@ -909,7 +822,7 @@ pub(crate) fn emd_star_term_interval<'c>(
         };
 
         // Certified return: per-term trace line, run-level aggregates,
-        // and the adaptive-placement feedback off the final hi plan.
+        // and the landmark credit off the final hi plan.
         let finish = |why: &str, lower: f64, upper: f64| -> TermOutcome {
             trace(why, (lower, upper));
             record_term(
@@ -923,7 +836,9 @@ pub(crate) fn emd_star_term_interval<'c>(
             TermOutcome {
                 lower,
                 upper,
-                feedback: collect_feedback(&plan_hi, &bounds, &rows, &cols, &sketch, reverse),
+                landmark_useful: useful_landmarks(
+                    &plan_hi, &bounds, &rows, &cols, &sketch, reverse,
+                ),
             }
         };
 
@@ -982,43 +897,17 @@ pub(crate) fn emd_star_term_interval<'c>(
         }
         scored.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
         let best = scored.first().copied();
-        // Splitting descends the quotient hierarchy: a group at level `d`
-        // is partitioned by the first finer level that actually separates
-        // its members (fanout ≤ QUOTIENT_FANOUT by construction), so the
-        // children follow community boundaries instead of member-array
-        // positions. Past the finest level, positional halves.
-        let split_group = |gr: Group<'c>| -> Vec<Group<'c>> {
-            let mut lv = gr.level + 1;
-            while lv < finest {
-                let labels = &ctx.levels[lv].labels;
-                let first = labels[gr.members[0] as usize];
-                if gr.members.iter().any(|&v| labels[v as usize] != first) {
-                    let mut buckets: BTreeMap<u32, (Vec<NodeId>, Vec<Mass>)> = BTreeMap::new();
-                    for (k, &v) in gr.members.iter().enumerate() {
-                        let e = buckets.entry(labels[v as usize]).or_default();
-                        e.0.push(v);
-                        e.1.push(gr.masses[k]);
-                    }
-                    return buckets
-                        .into_values()
-                        .map(|(m, ms)| make_group(m, ms, gr.gamma, lv))
-                        .collect();
-                }
-                lv += 1;
-            }
+        let split_group = |gr: Group<'c>| -> [Group<'c>; 2] {
             let mid = gr.members.len() / 2;
             let (m1, m2) = (gr.members[..mid].to_vec(), gr.members[mid..].to_vec());
             let (s1, s2) = (gr.masses[..mid].to_vec(), gr.masses[mid..].to_vec());
-            vec![
-                make_group(m1, s1, gr.gamma, finest),
-                make_group(m2, s2, gr.gamma, finest),
-            ]
+            [make_group(m1, s1, gr.gamma), make_group(m2, s2, gr.gamma)]
         };
-        // Per-level cost propagation: a child's member pairs are a subset
-        // of the parent's, so the parent's certified cell interval still
-        // brackets the child's min/max — intersecting it with the child's
-        // own sketch bounds keeps every cell certified while inheriting
-        // whatever tightness the coarser levels already established.
+        // Cost propagation: a child's member pairs are a subset of the
+        // parent's, so the parent's certified cell interval still brackets
+        // the child's min/max — intersecting it with the child's own
+        // sketch bounds keeps every cell certified while inheriting
+        // whatever tightness earlier rounds already established.
         let clip = |(lo, hi): (u32, u32), (plo, phi): (u32, u32)| -> (u32, u32) {
             (lo.max(plo), hi.min(phi))
         };
@@ -1150,18 +1039,16 @@ pub(crate) fn emd_star_term_interval<'c>(
     }
 }
 
-/// Ranks the final hi plan's flowing cells by `gap × flow` and extracts
-/// the adaptive-placement feedback: the worst cells' row representatives
-/// (residual groups only — bank bins are not mass sources the sketch
-/// should chase) and the landmarks binding those cells' envelopes.
-fn collect_feedback(
+/// Ranks the final hi plan's flowing cells by `gap × flow` and credits
+/// the landmarks binding the worst cells' envelopes.
+fn useful_landmarks(
     plan: &TransportPlan,
     bounds: &[Vec<(u32, u32)>],
     rows: &[Group<'_>],
     cols: &[Group<'_>],
     sketch: &LandmarkSketch<'_>,
     reverse: bool,
-) -> TermFeedback {
+) -> Vec<bool> {
     let mut cells: Vec<(u128, usize, usize)> = plan
         .flows
         .iter()
@@ -1177,17 +1064,12 @@ fn collect_feedback(
     // are not worth keeping on the repair payroll.
     let total_gap: u128 = cells.iter().map(|c| c.0).sum();
     let mut credited: u128 = 0;
-    let mut hot_nodes = Vec::new();
     let mut landmark_useful = vec![false; sketch.landmark_count()];
     for &(score, i, j) in cells.iter().take(FEEDBACK_CELLS) {
         if credited * 2 >= total_gap {
             break;
         }
         credited += score;
-        let rep = rows[i].members[0];
-        if rows[i].gamma == 0 && !hot_nodes.contains(&rep) {
-            hot_nodes.push(rep);
-        }
         let (a, b) = if reverse {
             (&cols[j].agg, &rows[i].agg)
         } else {
@@ -1200,10 +1082,7 @@ fn collect_feedback(
             landmark_useful[l] = true;
         }
     }
-    TermFeedback {
-        hot_nodes,
-        landmark_useful,
-    }
+    landmark_useful
 }
 
 #[cfg(test)]
@@ -1311,17 +1190,5 @@ mod tests {
         );
         config.clusters = ClusterSpec::Single;
         assert_eq!(unsupported_bank_mode(&config).as_deref(), Some("Single"));
-    }
-
-    #[test]
-    fn quotient_hierarchy_deepens_past_leaf_times_top_clusters() {
-        // One level while the top level's clusters hold at most
-        // `QUOTIENT_LEAF` nodes: n ≤ 64 · 256 = 16,384.
-        let boundary = QUOTIENT_CLUSTERS * QUOTIENT_LEAF;
-        assert_eq!(boundary, 16_384);
-        let g = snd_graph::generators::path_graph(boundary);
-        assert_eq!(build_levels(&g).len(), 1);
-        let g = snd_graph::generators::path_graph(boundary + 1);
-        assert!(build_levels(&g).len() > 1);
     }
 }

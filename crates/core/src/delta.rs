@@ -125,10 +125,7 @@ pub(crate) struct OpGeometry {
 /// which is bit-identical to a fresh SSSP because the clamp domain is
 /// lossless whenever a sketch exists (`tests/sketch_repair.rs`).
 ///
-/// Adaptive landmark placement ([`DeltaStateGeometry::adapt_sketch`])
-/// appends and evicts whole row pairs between snapshots; the usefulness
-/// clock (`last_useful` / `tick`) travels with the bundle, including
-/// through the high-churn fresh-rebuild fallback.
+/// The landmark set is the engine's and stays fixed along a series.
 ///
 /// Repair is **feedback-driven**: a triangle-inequality envelope over a
 /// *subset* of the landmarks is still sound (an upper bound minimized
@@ -136,11 +133,11 @@ pub(crate) struct OpGeometry {
 /// only loosens), so a transition does not have to repair all `2·L`
 /// rows. Pairs whose landmark recently bound a hot cell — plus a small
 /// floor — are repaired; the rest are parked `stale`, dropped from the
-/// envelope, and cost nothing until adaptive placement evicts them (a
-/// stale pair's `last_useful` ages, so eviction finds it first). Until
-/// the first pricing signal arrives (`tick == 0`) every pair is
-/// advanced, which keeps un-priced stepping bit-identical to a fresh
-/// build across every row.
+/// envelope, and cost nothing until the high-churn fresh rebuild revives
+/// them. The usefulness clock (`last_useful` / `tick`) travels with the
+/// bundle, including through that rebuild. Until the first pricing
+/// signal arrives (`tick == 0`) every pair is advanced, which keeps
+/// un-priced stepping bit-identical to a fresh build across every row.
 #[derive(Clone)]
 pub struct SketchRows {
     pub(crate) landmarks: Vec<NodeId>,
@@ -148,12 +145,12 @@ pub struct SketchRows {
     pub(crate) from: Vec<Arc<Vec<u32>>>,
     /// Last tick each landmark was the binding envelope of a hot cell.
     pub(crate) last_useful: Vec<u64>,
-    /// Adaptation clock, bumped once per priced snapshot.
+    /// Usefulness clock, bumped once per priced snapshot.
     pub(crate) tick: u64,
     /// Pairs whose rows a repair policy skipped across some fired
     /// transition: no longer valid for the current costs, excluded from
-    /// [`sketch`](Self::sketch) until replaced (only a full rebuild or
-    /// eviction revives the slot — repair needs a valid starting row).
+    /// [`sketch`](Self::sketch) until a full rebuild revives the slot
+    /// (repair needs a valid starting row).
     pub(crate) stale: Vec<bool>,
 }
 
@@ -164,12 +161,6 @@ pub struct SketchRows {
 /// paying for its upkeep; pairs the feedback keeps crediting always rank
 /// inside the budget.
 const REPAIR_PAIR_BUDGET: usize = 3;
-
-/// One adaptive promotion costs two full SSSPs plus membership in the
-/// repair budget, so placement moves at most one landmark per plane
-/// every this many snapshots — a genuinely hot region stays hot long
-/// enough to be covered one landmark at a time.
-const PROMOTE_PERIOD: u64 = 4;
 
 impl SketchRows {
     /// Number of landmarks (row pairs), live or stale.
@@ -234,7 +225,7 @@ impl SketchRows {
 
     /// Builds every row pair from scratch (2·L SSSPs, parallel over
     /// landmarks). `last_useful`/`tick` are carried, not reset, so the
-    /// high-churn fallback keeps the adaptation history.
+    /// high-churn fallback keeps the usefulness history.
     fn build(
         g: &CsrGraph,
         costs: &[u32],
@@ -275,8 +266,8 @@ impl SketchRows {
         }
     }
 
-    /// Fresh rebuild over new costs at the *same* (possibly adapted)
-    /// landmark set — the high-churn fallback.
+    /// Fresh rebuild over new costs at the same landmark set — the
+    /// high-churn fallback.
     fn rebuilt(
         &self,
         g: &CsrGraph,
@@ -321,8 +312,7 @@ impl SketchRows {
     /// place — bit-identical to [`build`](Self::build) over the new
     /// costs; fired pairs the policy lets go are carried unrepaired and
     /// marked stale (a stale pair stays stale: repair needs a valid
-    /// starting row, so only eviction or a full rebuild revives the
-    /// slot).
+    /// starting row, so only a full rebuild revives the slot).
     fn advanced(
         &self,
         g: &CsrGraph,
@@ -982,91 +972,17 @@ impl DeltaStateGeometry {
         }
     }
 
-    /// Adaptive landmark placement: folds one term's refinement feedback
-    /// (hot `gap × flow` cell representatives + per-landmark usefulness
-    /// credit) into the `op` plane's sketch. Up to two hot nodes are
-    /// promoted to landmarks per call (two SSSPs each over this plane's
-    /// costs); past `max_landmarks` the least-recently-useful landmark is
-    /// evicted — unless every landmark was useful this very snapshot, in
-    /// which case the set is left alone rather than churned.
-    pub(crate) fn adapt_sketch(
-        &mut self,
-        engine: &SndEngine<'_>,
-        op: Opinion,
-        feedback: &crate::approx::TermFeedback,
-        max_landmarks: usize,
-    ) {
+    /// Folds one term's landmark usefulness credit into the `op` plane's
+    /// sketch and advances its clock, which picks the pairs the next
+    /// transition repairs (see [`SketchRows`]).
+    pub(crate) fn credit_landmarks(&mut self, op: Opinion, useful: &[bool]) {
         let plane = match op {
             Opinion::Positive => &mut self.pos,
             _ => &mut self.neg,
         };
-        let Some(sketch) = plane.sketch.as_mut() else {
-            return;
-        };
-        sketch.tick += 1;
-        let tick = sketch.tick;
-        // Feedback indices refer to the live pairs the term was priced
-        // with; `note_useful` maps them back onto bundle slots.
-        sketch.note_useful(&feedback.landmark_useful);
-        // Promotion is gated on the envelope earning its keep (some
-        // landmark bound a hot cell) and paced by [`PROMOTE_PERIOD`]:
-        // when the pricing does not lean on the sketch, two SSSPs per
-        // promotion buy rows nothing will read, and even a hot streak
-        // only justifies moving placement one landmark at a time.
-        let any_useful = feedback.landmark_useful.iter().any(|&u| u);
-        let full = sketch.landmarks.len() >= max_landmarks.max(1);
-        if full && (!any_useful || tick % PROMOTE_PERIOD != 0) {
-            return;
-        }
-        let g = engine.graph();
-        let n = g.node_count();
-        let costs = &plane.geom.edge_costs;
-        let max_edge_cost = plane.geom.max_edge_cost;
-        let unreachable = plane.geom.unreachable;
-        // Paced to one promotion per snapshot: each costs two SSSPs, and
-        // a genuinely hot region stays hot long enough to be covered one
-        // landmark at a time.
-        let mut promoted = 0usize;
-        for &v in &feedback.hot_nodes {
-            if promoted >= 1 {
-                break;
-            }
-            if sketch.landmarks.contains(&v) {
-                continue;
-            }
-            if sketch.landmarks.len() >= max_landmarks.max(1) {
-                let Some((evict, &least)) = sketch
-                    .last_useful
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(i, &lu)| (lu, i))
-                else {
-                    break;
-                };
-                if least >= tick {
-                    break;
-                }
-                sketch.landmarks.swap_remove(evict);
-                sketch.to.swap_remove(evict);
-                sketch.from.swap_remove(evict);
-                sketch.last_useful.swap_remove(evict);
-                sketch.stale.swap_remove(evict);
-            }
-            let (to, from) = crate::approx::time_phase(crate::approx::PHASE_SKETCH_MAINT, || {
-                with_sssp_scratch(|scratch| {
-                    dial_reverse_scratch(g, costs, &[v], max_edge_cost, scratch);
-                    let to = clamped_row(scratch, n, unreachable);
-                    dial_scratch(g, costs, &[v], max_edge_cost, scratch);
-                    let from = clamped_row(scratch, n, unreachable);
-                    (to, from)
-                })
-            });
-            sketch.landmarks.push(v);
-            sketch.to.push(Arc::new(to));
-            sketch.from.push(Arc::new(from));
-            sketch.last_useful.push(tick);
-            sketch.stale.push(false);
-            promoted += 1;
+        if let Some(sketch) = plane.sketch.as_mut() {
+            sketch.tick += 1;
+            sketch.note_useful(useful);
         }
     }
 }
@@ -1119,9 +1035,10 @@ pub(crate) fn term_inputs<'a>(
 /// EMD\* term over equal states is exactly zero, and the geometry and
 /// caches carry over untouched); every other transition steps the
 /// repairable bundle and hands both bundles, each with its row cache, to
-/// `price`, which may adapt the later bundle before the walk moves on
-/// from it. Exactly two bundles (and two row caches) are live at any
-/// point; the geometries are borrowed into pricing, never cloned.
+/// `price`, which may credit the later bundle's landmarks before the
+/// walk moves on from it. Exactly two bundles (and two row caches) are
+/// live at any point; the geometries are borrowed into pricing, never
+/// cloned.
 pub(crate) fn walk_series<T: Copy>(
     engine: &SndEngine<'_>,
     states: &[NetworkState],

@@ -383,7 +383,7 @@ impl<'g> SndEngine<'g> {
         Some(a.clone())
     }
 
-    /// The lazily-built sketch context (landmark set + quotient hierarchy).
+    /// The lazily-built sketch context (landmark set + quotient partition).
     pub(crate) fn approx_ctx(&self) -> &ApproxCtx {
         self.approx_ctx.get_or_init(|| {
             let a = self.config.approx.clone().unwrap_or_default();
@@ -422,8 +422,8 @@ impl<'g> SndEngine<'g> {
         (outcome.lower, outcome.upper)
     }
 
-    /// [`approx_term`](Self::approx_term) keeping the adaptive-placement
-    /// feedback — the series interval path consumes it.
+    /// [`approx_term`](Self::approx_term) keeping the landmark usefulness
+    /// credit — the series interval path consumes it.
     #[allow(clippy::too_many_arguments)] // the exact term surface plus the approx knobs
     fn approx_term_outcome(
         &self,
@@ -488,8 +488,9 @@ impl<'g> SndEngine<'g> {
     /// — when the engine carries an approx config — the 2·L landmark
     /// sketch rows are *repaired* across each transition instead of
     /// recomputed. After each priced transition the refinement loop's
-    /// worst-cell feedback adapts the next ground state's landmark set
-    /// (adaptive landmark placement, see [`crate::delta`]).
+    /// worst-cell feedback credits the landmarks of the next ground
+    /// state's sketch, which picks the few pairs the next transition
+    /// repairs; the landmark set itself stays the engine's.
     pub fn series_intervals(
         &self,
         states: &[NetworkState],
@@ -501,15 +502,14 @@ impl<'g> SndEngine<'g> {
         };
         let out = crate::delta::walk_series(self, states, zero, |a, b, prev, (cur, cur_rows)| {
             let (geoms, caches, sketches) = crate::delta::term_inputs(prev, (cur, cur_rows));
-            let (interval, feedback) =
+            let (interval, useful) =
                 self.interval_terms(a, b, geoms, caches, sketches, &approx_cfg);
             // The backward terms ground in `cur`, which is exactly the
-            // next transition's forward ground state — fold their hot
-            // cells into its landmark set before stepping on.
-            let [_, _, feedback_pos, feedback_neg] = feedback;
-            let max_landmarks = approx_cfg.max_landmarks;
-            cur.adapt_sketch(self, Opinion::Positive, &feedback_pos, max_landmarks);
-            cur.adapt_sketch(self, Opinion::Negative, &feedback_neg, max_landmarks);
+            // next transition's forward ground state — credit its
+            // landmarks before stepping on.
+            let [_, _, useful_pos, useful_neg] = useful;
+            cur.credit_landmarks(Opinion::Positive, &useful_pos);
+            cur.credit_landmarks(Opinion::Negative, &useful_neg);
             interval
         });
         approx::emit_trace_summary("series_intervals");
@@ -529,7 +529,7 @@ impl<'g> SndEngine<'g> {
 
     /// Sums the four per-term intervals into the Eq. 3 SND interval
     /// (`½·Σ` of each envelope — interval arithmetic over independent
-    /// certified bounds), keeping each term's adaptive-placement feedback
+    /// certified bounds), keeping each term's landmark usefulness credit
     /// in breakdown order (forward+, forward−, backward+, backward−).
     /// Terms run concurrently like [`terms`](Self::terms).
     fn interval_terms(
@@ -540,7 +540,7 @@ impl<'g> SndEngine<'g> {
         caches: [Option<&RowCache>; 4],
         sketches: [Option<&crate::delta::SketchRows>; 4],
         approx_cfg: &ApproxConfig,
-    ) -> (SndInterval, [approx::TermFeedback; 4]) {
+    ) -> (SndInterval, [Vec<bool>; 4]) {
         let term = |geom: &GroundGeometry,
                     cache: Option<&RowCache>,
                     sketch: Option<&crate::delta::SketchRows>,
@@ -569,7 +569,12 @@ impl<'g> SndEngine<'g> {
         };
         (
             interval,
-            [fp.feedback, fn_.feedback, bp.feedback, bn.feedback],
+            [
+                fp.landmark_useful,
+                fn_.landmark_useful,
+                bp.landmark_useful,
+                bn.landmark_useful,
+            ],
         )
     }
 

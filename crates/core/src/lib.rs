@@ -66,7 +66,7 @@
 //! [`SndConfig::approx`] ([`ApproxConfig`]) enables the third tier
 //! (module [`approx`]): landmark SSSP sketches bound node-to-node
 //! distances by triangle-inequality envelopes, differing users are
-//! contracted into quotient-graph clusters, each EMD* term is priced
+//! contracted into BFS-partition clusters, each EMD* term is priced
 //! **twice** — once over the lower envelope, once over the upper — and
 //! the worst cluster is split and re-priced until the certified relative
 //! gap meets `epsilon` (`epsilon = 0` refines all the way to exact).
@@ -102,23 +102,15 @@
 //!    current; the rest are parked *stale* and excluded from envelopes
 //!    (a subset envelope is looser but still sound), so a series whose
 //!    refinement does not lean on the sketch stops paying for its
-//!    upkeep;
-//! 3. **Adapt** — term feedback credits the landmarks binding the
-//!    worst remaining `gap × flow` cells (these stay inside the repair
-//!    budget) and periodically promotes the hottest residual nodes into
-//!    the landmark set, evicting the least-recently-useful landmark —
-//!    stale pairs age fastest — once [`ApproxConfig::max_landmarks`] is
-//!    reached;
-//! 4. **Fall back** — high-churn transitions (touched edges above
+//!    upkeep. Term feedback credits the landmarks binding the worst
+//!    remaining `gap × flow` cells, which keeps them inside the budget;
+//!    the landmark set itself stays fixed;
+//! 3. **Fall back** — high-churn transitions (touched edges above
 //!    `1/`[`REPAIR_EDGE_FRACTION`] of the graph) rebuild the sketch
 //!    fresh — every pair, reviving stale ones — exactly like the
 //!    cluster rows.
 //!
-//! The envelope solves behind each term run on a **recursive quotient**:
-//! the quotient graph is itself `bfs_partition`-coarsened (fanout 8, up
-//! to 6 levels) so the coarse solve stays bounded for `n ≥ 10⁷`, with
-//! per-level `[lo, hi]` cost propagation keeping every interval
-//! certified. Shard checkpoints written under an active approximate tier
+//! Shard checkpoints written under an active approximate tier
 //! persist each tile's `[lo, hi]` pairs (`I` lines, see [`shard`]), so
 //! merged matrices stay re-certifiable; `SND_APPROX_TRACE=1` prints a
 //! per-run summary of sketch repairs/reuses/stale parks/rebuilds, the

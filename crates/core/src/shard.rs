@@ -148,6 +148,10 @@ const MAGIC: &str = "SNDSHARD v1";
 pub type OnTile<'a> =
     dyn FnMut(usize, &[f64], Option<&[(f64, f64)]>, f64) -> Result<(), ShardError> + 'a;
 
+/// How many missing tile IDs [`ShardError::Holes`] lists. A header may
+/// declare a grid of ~2⁶¹ tiles, so the full list is never built.
+const HOLES_LISTED: usize = 8;
+
 /// Errors from shard planning, checkpoint IO, and merging.
 #[derive(Debug)]
 pub enum ShardError {
@@ -166,8 +170,10 @@ pub enum ShardError {
     },
     /// Tiles missing from a merge that must cover the full matrix.
     Holes {
-        /// Missing tile IDs (truncated to the first few for display).
-        missing: Vec<usize>,
+        /// Number of missing tiles.
+        count: usize,
+        /// The lowest missing tile IDs, at most eight of them.
+        first: Vec<usize>,
     },
 }
 
@@ -181,12 +187,9 @@ impl fmt::Display for ShardError {
             ShardError::Overlap { tile } => {
                 write!(f, "conflicting values for tile {tile} across artifacts")
             }
-            ShardError::Holes { missing } => write!(
-                f,
-                "matrix has {} missing tile(s), first: {:?}",
-                missing.len(),
-                &missing[..missing.len().min(8)]
-            ),
+            ShardError::Holes { count, first } => {
+                write!(f, "matrix has {count} missing tile(s), first: {first:?}")
+            }
         }
     }
 }
@@ -501,14 +504,6 @@ impl TileSet {
         self.tiles.contains_key(&id)
     }
 
-    /// IDs of grid tiles not present — the holes a full matrix still
-    /// needs.
-    pub fn missing_tiles(&self) -> Vec<usize> {
-        (0..self.grid.tile_count())
-            .filter(|id| !self.tiles.contains_key(id))
-            .collect()
-    }
-
     /// Distance of pair `(i, j)` if its tile is present (`Some(0.0)` on
     /// the diagonal).
     pub fn pair(&self, i: usize, j: usize) -> Option<f64> {
@@ -670,9 +665,16 @@ impl TileSet {
 
     /// The full [`DistanceMatrix`], validating that every tile is present.
     pub fn to_matrix(&self) -> Result<DistanceMatrix, ShardError> {
-        let missing = self.missing_tiles();
-        if !missing.is_empty() {
-            return Err(ShardError::Holes { missing });
+        // Tile IDs are below `tile_count` (checked on insert and parse),
+        // so a short count means holes. The scan for the first few stops
+        // after at most `tiles.len() + HOLES_LISTED` IDs.
+        let count = self.grid.tile_count() - self.tiles.len();
+        if count > 0 {
+            let first = (0..self.grid.tile_count())
+                .filter(|id| !self.tiles.contains_key(id))
+                .take(HOLES_LISTED)
+                .collect();
+            return Err(ShardError::Holes { count, first });
         }
         let k = self.grid.k;
         let mut upper = vec![0.0; k * k.saturating_sub(1) / 2];
@@ -1395,8 +1397,12 @@ mod tests {
         let s = states(5);
         let grid = TileGrid::new(5, 2);
         let part0 = engine.pairwise_tiles(&s, &ShardPlan::round_robin(grid, 0, 2).unwrap());
-        // A lone shard cannot produce the full matrix.
-        assert!(matches!(part0.to_matrix(), Err(ShardError::Holes { .. })));
+        // A lone shard cannot produce the full matrix: of the 6 tiles it
+        // holds 0, 2 and 4.
+        assert!(matches!(
+            part0.to_matrix(),
+            Err(ShardError::Holes { count: 3, first }) if first == [1, 3, 5]
+        ));
         // Mismatched fingerprints refuse to merge.
         let other = TileSet::empty(grid, part0.fingerprint() ^ 1);
         assert!(matches!(
@@ -1480,6 +1486,28 @@ mod tests {
         std::fs::write(&path, header).unwrap();
         assert!(matches!(TileSet::load(&path), Err(ShardError::Format(_))));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn huge_grids_without_tiles_report_holes_by_count() {
+        let path = std::env::temp_dir().join(format!("snd_shard_huge_{}.ckpt", std::process::id()));
+        // k = 2³¹: `k·k` = 2⁶² and ~2⁶¹ tiles both fit a 64-bit usize, so
+        // the header loads. Listing every missing tile would exhaust
+        // memory; the error carries the count and the first few IDs.
+        let header = "SNDSHARD v1\nk 2147483648 tile 1 fingerprint 0000000000000000\n";
+        std::fs::write(&path, header).unwrap();
+        let set = TileSet::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let tiles = set.grid().tile_count();
+        assert_eq!(tiles, (1usize << 31) * ((1usize << 31) + 1) / 2);
+        match set.to_matrix() {
+            Err(ShardError::Holes { count, first }) => {
+                assert_eq!(count, tiles);
+                assert_eq!(first, (0..HOLES_LISTED).collect::<Vec<_>>());
+            }
+            other => panic!("expected holes, got {other:?}"),
+        }
     }
 
     #[test]

@@ -29,9 +29,7 @@ pub mod laplacian;
 pub mod shortest_paths;
 
 pub use bfs::{bfs_levels, double_sweep_diameter};
-pub use clustering::{
-    bfs_partition, label_propagation, quotient_graph, whole_graph_cluster, Clustering,
-};
+pub use clustering::{bfs_partition, label_propagation, whole_graph_cluster, Clustering};
 pub use components::{largest_weak_component, weak_components, UnionFind};
 pub use csr::{CsrGraph, EdgeId, GraphBuilder, NodeId};
 pub use laplacian::{dense_laplacian, laplacian_quadratic_form};

@@ -171,9 +171,9 @@ impl<'a> LandmarkSketch<'a> {
 
     /// The landmark index achieving [`group_upper`](Self::group_upper) —
     /// the binding relay landmark of the cell, or `None` when no landmark
-    /// beats the sentinel. Adaptive placement uses this as the usefulness
-    /// credit: a landmark that is never binding for any hot cell is a
-    /// candidate for eviction.
+    /// beats the sentinel. The series path's repair budget uses this as
+    /// the usefulness credit: a landmark that is never binding for any hot
+    /// cell stops being repaired.
     pub fn group_upper_arg(&self, a: &GroupAggregate, b: &GroupAggregate) -> Option<usize> {
         let mut best = self.inf;
         let mut arg = None;

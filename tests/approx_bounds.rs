@@ -32,12 +32,26 @@ fn approx(epsilon: f64, landmarks: usize) -> SndConfig {
 
 #[test]
 fn intervals_bracket_exact_on_every_registry_scenario() {
-    for mut sc in registry() {
-        sc.nodes = 60;
-        sc.steps = 4;
+    // Every scenario's 60-node series with two landmarks, plus one series
+    // large enough that some terms pass the tiny-exact short-circuit (more
+    // than 2·L residual users) and refine, with more landmarks than the
+    // series path's repair budget keeps current, so pairs are parked
+    // stale (`SND_APPROX_TRACE=1` shows both in its `series_intervals`
+    // summary).
+    let voting = registry()
+        .into_iter()
+        .find(|sc| sc.name == "voting")
+        .expect("the registry has a voting scenario");
+    let cases = registry()
+        .into_iter()
+        .map(|sc| (sc, 60, 4, 2))
+        .chain(std::iter::once((voting, 1000, 6, 8)));
+    for (mut sc, nodes, steps, landmarks) in cases {
+        sc.nodes = nodes;
+        sc.steps = steps;
         let series = sc.run(11).expect(sc.name);
         let exact_engine = SndEngine::new(&series.graph, SndConfig::default());
-        let approx_engine = SndEngine::new(&series.graph, approx(0.25, 2));
+        let approx_engine = SndEngine::new(&series.graph, approx(0.25, landmarks));
         for (t, w) in series.states.windows(2).enumerate() {
             let exact = exact_engine.distance(&w[0], &w[1]);
             let iv = approx_engine
