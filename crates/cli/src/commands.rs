@@ -12,7 +12,7 @@ use snd_analysis::{
 use snd_baselines::{Hamming, QuadForm, StateDistance, WalkDist};
 use snd_core::{
     auto_tile, ApproxConfig, CandidateEvaluator, ClusterSpec, OrderedSnd, ShardPlan, SndConfig,
-    SndEngine, TileGrid, TileSet,
+    SndEngine, SndInterval, TileGrid, TileSet,
 };
 use snd_data::{
     find_scenario, generate_series, registry, simulate_twitter, SyntheticSeries,
@@ -364,9 +364,7 @@ fn distance_series(args: &[String], path: &str) -> Result<(), String> {
     let approx_on = config.approx.is_some();
     let engine = SndEngine::new(&graph, config);
     if approx_on {
-        let ivs = engine
-            .series_intervals(&states)
-            .map_err(|e| e.to_string())?;
+        let ivs = series_intervals_on_one_thread(&engine, &states)?;
         println!(
             "{:>4} {:>10} {:>10} {:>10} {:>10}",
             "t", "SND", "lower", "upper", "width"
@@ -391,6 +389,25 @@ fn distance_series(args: &[String], path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The certified series (`SndEngine::series_intervals`) on the calling
+/// thread alone, whatever `RAYON_NUM_THREADS` says. Its fan-out is
+/// fine-grained (per transition: four terms joined, a few dozen landmark
+/// rows). On a 2-core machine two threads priced a 25k-node series 1.8×
+/// faster than one while the machine was otherwise idle, and lost all of
+/// it when one other process kept a core busy (2.18 s on two threads,
+/// 2.25 s on one), so the run time swung with the machine's load.
+fn series_intervals_on_one_thread(
+    engine: &SndEngine<'_>,
+    states: &[NetworkState],
+) -> Result<Vec<SndInterval>, String> {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .map_err(|e| e.to_string())?;
+    pool.install(|| engine.series_intervals(states))
+        .map_err(|e| e.to_string())
+}
+
 /// `snd anomaly`: score every transition of the dataset's series.
 pub fn anomaly(args: &[String]) -> Result<(), String> {
     let path: String = opt(args, "--data").ok_or("missing --data FILE")?;
@@ -409,9 +426,7 @@ pub fn anomaly(args: &[String]) -> Result<(), String> {
     let approx_on = config.approx.is_some();
     let engine = SndEngine::new(&graph, config);
     let (raw, intervals) = if approx_on {
-        let ivs = engine
-            .series_intervals(&states)
-            .map_err(|e| e.to_string())?;
+        let ivs = series_intervals_on_one_thread(&engine, &states)?;
         let mids = ivs.iter().map(|iv| iv.midpoint()).collect();
         (mids, Some(ivs))
     } else {
